@@ -7,7 +7,7 @@ functional, cycle-approximate bandwidth model written in pure Python + numpy.
 The main entry points are:
 
 * :mod:`repro.axi` — the AXI4 / AXI-Pack protocol model (burst descriptors,
-  user-field encoding, channel monitors, interconnect blocks).
+  user-field encoding, channel monitors, cycle-level mux/demux).
 * :mod:`repro.controller` — the banked AXI-Pack memory controller with its
   five burst converters.
 * :mod:`repro.vector` — the Ara-like vector engine with the paper's

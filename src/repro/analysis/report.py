@@ -68,17 +68,3 @@ def write_csv(table: ExperimentTable, path: str) -> None:
         writer = csv.writer(handle)
         writer.writerow(table.headers)
         writer.writerows(table.rows)
-
-
-def text_bar_chart(labels: Sequence[str], values: Sequence[float],
-                   width: int = 40, unit: str = "") -> str:
-    """Simple horizontal ASCII bar chart (used by the CLI)."""
-    if not values:
-        return "(no data)"
-    peak = max(values) or 1.0
-    lines = []
-    label_width = max(len(label) for label in labels)
-    for label, value in zip(labels, values):
-        bar = "#" * max(1, int(round(width * value / peak)))
-        lines.append(f"{label.rjust(label_width)} | {bar} {value:.3g}{unit}")
-    return "\n".join(lines)

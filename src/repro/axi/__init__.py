@@ -15,8 +15,6 @@ from repro.axi.types import (
     AXI4_BOUNDARY_BYTES,
     BurstType,
     Resp,
-    bytes_to_axsize,
-    axsize_to_bytes,
 )
 from repro.axi.pack import PackMode, PackUserField, PackUserLayout
 from repro.axi.signals import ARBeat, AWBeat, BBeat, RBeat, WBeat
@@ -36,8 +34,6 @@ __all__ = [
     "AXI4_BOUNDARY_BYTES",
     "BurstType",
     "Resp",
-    "bytes_to_axsize",
-    "axsize_to_bytes",
     "PackMode",
     "PackUserField",
     "PackUserLayout",

@@ -1,22 +1,25 @@
-"""Burst-level interconnect blocks: routing and width conversion.
+"""Address decode maps and the burst-level data-width converter.
 
 A central compatibility claim of AXI-Pack (paper §II-A) is that interconnect
 IP which does not reshape bursts — demultiplexers, multiplexers, crossbars
 that only route — works with packed bursts *unmodified*, because all the new
 semantics live in the ``user`` field and the existing address/len/size
-fields.  IP that does reshape bursts (data-width converters) needs a small
-extension: it must re-pack bus-aligned elements when changing the bus width,
-exactly as it already re-packs contiguous data.
+fields.  The cycle-level routing blocks that model that claim live in
+:mod:`repro.axi.mux`; they decode addresses with the :class:`AddressMap` and
+:class:`InterleavedAddressMap` defined here.
 
-These models operate at burst granularity (they transform
-:class:`~repro.axi.transaction.BusRequest` objects); they are used by tests
-and examples to demonstrate the compatibility story and by the system model
-when a requestor and an endpoint disagree on bus width.
+IP that does reshape bursts (data-width converters) needs a small
+extension: it must re-pack bus-aligned elements when changing the bus width,
+exactly as it already re-packs contiguous data.  :class:`DataWidthConverter`
+models that extension at burst granularity (it transforms
+:class:`~repro.axi.transaction.BusRequest` objects).  The system model never
+instantiates it: every port of a :class:`~repro.system.soc.Soc` shares one
+bus width.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.axi.pack import PackMode
@@ -132,56 +135,6 @@ class InterleavedAddressMap:
         if not 0 <= addr < self.size_bytes:
             return -1
         return (addr >> self._stripe_shift) % self.num_targets
-
-
-class AxiDemux:
-    """Routes bursts to targets by address — without touching the burst.
-
-    This is the model of the non-burst-reshaping routing IP the paper cites:
-    the request (including its AXI-Pack user field) is forwarded verbatim, so
-    the block is AXI-Pack compatible with zero modifications.  The demux only
-    checks that the burst does not straddle two targets, which plain AXI4
-    routing must check anyway.
-    """
-
-    def __init__(self, address_map: AddressMap) -> None:
-        self.address_map = address_map
-        self.routed_counts = {region.target: 0 for region in address_map.regions}
-
-    def route(self, request: BusRequest) -> Tuple[int, BusRequest]:
-        """Return ``(target, request)`` with the request unmodified."""
-        target = self.address_map.route(request.addr)
-        if request.contiguous and not request.is_packed:
-            last = request.addr + request.payload_bytes - 1
-            if self.address_map.route(last) != target:
-                raise ProtocolError(
-                    "contiguous burst straddles two targets; the upstream "
-                    "master must split it"
-                )
-        self.routed_counts[target] += 1
-        return target, request
-
-
-class AxiMux:
-    """Merges traffic from several masters onto one target port.
-
-    Only bookkeeping is modelled (per-master transaction counts); like the
-    demux it never modifies a burst, so AXI-Pack traffic passes through
-    untouched.
-    """
-
-    def __init__(self, num_masters: int) -> None:
-        if num_masters <= 0:
-            raise ConfigurationError("mux needs at least one master")
-        self.num_masters = num_masters
-        self.forwarded = [0] * num_masters
-
-    def forward(self, master: int, request: BusRequest) -> BusRequest:
-        """Forward a master's burst unchanged."""
-        if not 0 <= master < self.num_masters:
-            raise ConfigurationError(f"unknown master {master}")
-        self.forwarded[master] += 1
-        return request
 
 
 class DataWidthConverter:

@@ -1,14 +1,13 @@
 """Cycle-level AXI routing components: N:1 multiplexer and 1:M demultiplexer.
 
-These are the simulation-time counterparts of the burst-level transforms in
-:mod:`repro.axi.interconnect`: where :class:`~repro.axi.interconnect.AxiMux`
-models the *compatibility* story (a routed burst is forwarded verbatim),
-:class:`CycleAxiMux` and :class:`CycleAxiDemux` model the *timing* story —
-one address handshake per channel per cycle, one data beat per channel per
-cycle, back-pressure, and arbitration between requestors contending for a
-shared endpoint.  Both carry packed bursts unmodified, which is the paper's
-central interconnect claim (§II-A): all routing decisions use only the
-address and the transaction id, never the AXI-Pack ``user`` payload.
+:class:`CycleAxiMux` and :class:`CycleAxiDemux` model the routing IP of the
+paper's compatibility claim (§II-A) at cycle level: one address handshake
+per channel per cycle, one data beat per channel per cycle, back-pressure,
+and arbitration between requestors contending for a shared endpoint.  Both
+forward the very :class:`~repro.axi.transaction.BusRequest` object they
+receive, so packed bursts pass unmodified: all routing decisions use only
+the address and the transaction id, never the AXI-Pack ``user`` payload.
+Address decode comes from the maps in :mod:`repro.axi.interconnect`.
 
 Composed back to back — one :class:`CycleAxiDemux` per requestor fanning out
 over an N×M grid of link ports into one :class:`CycleAxiMux` per endpoint —
@@ -91,8 +90,9 @@ class CycleAxiMux(Component):
             if port.bus_bytes != downstream.bus_bytes:
                 raise ProtocolError(
                     f"upstream port {port.name!r} is {port.bus_bytes}B wide but "
-                    f"the downstream bus is {downstream.bus_bytes}B; insert a "
-                    "DataWidthConverter"
+                    f"the downstream bus is {downstream.bus_bytes}B; the mux "
+                    "routes bursts without converting widths, so every port "
+                    "it joins must use the same bus width"
                 )
         self.upstreams = list(upstreams)
         self.downstream = downstream

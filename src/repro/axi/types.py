@@ -5,7 +5,6 @@ from __future__ import annotations
 import enum
 
 from repro.errors import ProtocolError
-from repro.utils.bitutils import is_power_of_two
 
 #: Maximum number of beats in a single AXI4 INCR burst (AxLEN is 8 bits).
 AXI4_MAX_BURST_LEN = 256
@@ -58,31 +57,6 @@ def worst_resp(a: Resp, b: Resp) -> Resp:
     the burst's response is the worst response of any of its parts.
     """
     return a if a.value >= b.value else b
-
-
-def bytes_to_axsize(num_bytes: int) -> int:
-    """Convert a per-beat transfer size in bytes to the AxSIZE encoding.
-
-    AXI encodes the number of bytes per beat as ``2**AxSIZE``; only
-    power-of-two sizes are legal.
-
-    >>> bytes_to_axsize(4)
-    2
-    >>> bytes_to_axsize(32)
-    5
-    """
-    if num_bytes <= 0 or not is_power_of_two(num_bytes):
-        raise ProtocolError(
-            f"AxSIZE requires a positive power-of-two byte count, got {num_bytes}"
-        )
-    return num_bytes.bit_length() - 1
-
-
-def axsize_to_bytes(axsize: int) -> int:
-    """Convert an AxSIZE field back to the number of bytes per beat."""
-    if not 0 <= axsize <= 7:
-        raise ProtocolError(f"AxSIZE must be in [0, 7], got {axsize}")
-    return 1 << axsize
 
 
 def check_incr_burst_legal(addr: int, num_beats: int, beat_bytes: int) -> None:

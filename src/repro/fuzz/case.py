@@ -143,19 +143,6 @@ class CasePlan:
     segments: List[List[PlannedOp]] = field(default_factory=list)
     index_arrays: List[Tuple[int, np.ndarray]] = field(default_factory=list)
 
-    @property
-    def memory_bytes_needed(self) -> int:
-        high = OUTPUT_BASE
-        for segment in self.segments:
-            for op in segment:
-                if op.kind in ("vse", "fence_readback"):
-                    high = max(high, op.base + op.count * 4)
-                elif op.kind == "vsse":
-                    high = max(high, op.base + ((op.count - 1) * op.stride + 1) * 4)
-                elif op.kind == "scatter":
-                    high = max(high, op.base + op.count * 4)
-        return high
-
 
 def _clamp_count(count: int, limit: int = MAX_COUNT) -> int:
     return max(1, min(int(count), limit))

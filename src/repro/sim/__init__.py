@@ -18,7 +18,6 @@ for the full contract.
 
 from repro.sim.component import IDLE, Component, WakeHint
 from repro.sim.queue import DecoupledQueue, LatencyPipe
-from repro.sim.arbiter import RoundRobinArbiter
 from repro.sim.datapath import (
     DatapathMode,
     default_datapath_mode,
@@ -36,7 +35,6 @@ __all__ = [
     "DatapathMode",
     "DecoupledQueue",
     "LatencyPipe",
-    "RoundRobinArbiter",
     "Engine",
     "Counter",
     "StatsRegistry",

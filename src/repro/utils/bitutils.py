@@ -18,41 +18,9 @@ def mask(width: int) -> int:
     return (1 << width) - 1
 
 
-def clog2(value: int) -> int:
-    """Return ``ceil(log2(value))`` for a positive integer.
-
-    This mirrors the SystemVerilog ``$clog2`` function used throughout the
-    original RTL to size address and index fields.
-
-    >>> clog2(1)
-    0
-    >>> clog2(8)
-    3
-    >>> clog2(9)
-    4
-    """
-    if value <= 0:
-        raise ConfigurationError(f"clog2 requires a positive value, got {value}")
-    return (value - 1).bit_length()
-
-
-def bit_length_for(max_value: int) -> int:
-    """Return the number of bits needed to represent values ``0..max_value``."""
-    if max_value < 0:
-        raise ConfigurationError(f"max_value must be non-negative, got {max_value}")
-    return max(1, max_value.bit_length())
-
-
 def is_power_of_two(value: int) -> bool:
     """Return True if ``value`` is a positive power of two."""
     return value > 0 and (value & (value - 1)) == 0
-
-
-def next_power_of_two(value: int) -> int:
-    """Return the smallest power of two greater than or equal to ``value``."""
-    if value <= 0:
-        raise ConfigurationError(f"value must be positive, got {value}")
-    return 1 << clog2(value) if value > 1 else 1
 
 
 def extract_field(word: int, offset: int, width: int) -> int:

@@ -50,16 +50,3 @@ def mean(values: Iterable[float]) -> float:
     if not items:
         raise ConfigurationError("mean of an empty sequence is undefined")
     return sum(items) / len(items)
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of a non-empty iterable of positive numbers."""
-    items: Sequence[float] = list(values)
-    if not items:
-        raise ConfigurationError("geometric mean of an empty sequence is undefined")
-    product = 1.0
-    for value in items:
-        if value <= 0:
-            raise ConfigurationError("geometric mean requires positive values")
-        product *= value
-    return product ** (1.0 / len(items))

@@ -3,38 +3,10 @@
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
-from repro.utils.bitutils import is_power_of_two
 
 
 def check_positive(name: str, value: int) -> int:
     """Raise unless ``value`` is a positive integer; return it otherwise."""
     if value <= 0:
         raise ConfigurationError(f"{name} must be positive, got {value}")
-    return value
-
-
-def check_in_range(name: str, value: int, low: int, high: int) -> int:
-    """Raise unless ``low <= value <= high``; return ``value`` otherwise."""
-    if not low <= value <= high:
-        raise ConfigurationError(
-            f"{name} must be in [{low}, {high}], got {value}"
-        )
-    return value
-
-
-def check_power_of_two(name: str, value: int) -> int:
-    """Raise unless ``value`` is a power of two; return ``value`` otherwise."""
-    if not is_power_of_two(value):
-        raise ConfigurationError(f"{name} must be a power of two, got {value}")
-    return value
-
-
-def check_multiple_of(name: str, value: int, divisor: int) -> int:
-    """Raise unless ``value`` is a multiple of ``divisor``."""
-    if divisor <= 0:
-        raise ConfigurationError(f"divisor for {name} must be positive")
-    if value % divisor != 0:
-        raise ConfigurationError(
-            f"{name} must be a multiple of {divisor}, got {value}"
-        )
     return value

@@ -386,12 +386,6 @@ class AraProgramBuilder:
         return self._compute(Mnemonic.VFMUL, dest, (a, b), count,
                              fn=lambda x, y: x * y, label=label)
 
-    def vfmul_vf(self, dest: str, a: str, scalar: float, count: int, label: str = "") -> int:
-        """Vector-scalar multiplication."""
-        return self._compute(Mnemonic.VFMUL_VF, dest, (a,), count,
-                             fn=lambda x: (x * np.float32(scalar)).astype(np.float32),
-                             label=label)
-
     def vfmacc(self, dest: str, a: str, b: str, count: int, label: str = "") -> int:
         """Fused multiply-accumulate: ``dest += a * b``."""
         return self._compute(Mnemonic.VFMACC, dest, (a, b), count,

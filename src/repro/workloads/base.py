@@ -35,11 +35,6 @@ class MemoryLayout:
         self.regions[name] = (addr, nbytes)
         return addr
 
-    def place_array(self, name: str, array: np.ndarray,
-                    alignment: Optional[int] = None) -> int:
-        """Reserve space sized for ``array`` (does not write it)."""
-        return self.place(name, array.nbytes, alignment)
-
     def addr(self, name: str) -> int:
         """Base address of a previously placed region."""
         if name not in self.regions:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis.experiments import EXPERIMENTS, run_experiment
 from repro.analysis.fig3 import SCALES, figure_3d
-from repro.analysis.report import ExperimentTable, format_table, text_bar_chart, write_csv
+from repro.analysis.report import ExperimentTable, format_table, write_csv
 from repro.cli import main
 from repro.errors import ConfigurationError
 
@@ -35,11 +35,6 @@ class TestReport:
         content = path.read_text().strip().splitlines()
         assert content[0] == "x,y"
         assert content[1] == "1,2"
-
-    def test_text_bar_chart(self):
-        chart = text_bar_chart(["a", "bb"], [1.0, 2.0])
-        assert "a" in chart and "#" in chart
-        assert text_bar_chart([], []) == "(no data)"
 
 
 class TestExperimentRegistry:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.axi.builder import BuilderConfig, RequestBuilder
 from repro.axi.pack import PackMode
 from repro.axi.stream import ContiguousStream, IndirectStream, StridedStream
+from repro.axi.types import check_incr_burst_legal
 from repro.errors import ConfigurationError
 
 
@@ -48,6 +49,11 @@ class TestContiguousLowering:
         for request in requests:
             last = request.addr + request.payload_bytes - 1
             assert request.addr // boundary == last // boundary
+            # The protocol checker is the oracle: every emitted INCR burst
+            # is AXI4-legal (<= 256 beats, no 4 KiB crossing).
+            assert request.contiguous
+            check_incr_burst_legal(request.addr, request.num_beats,
+                                   request.beat_bytes)
 
     def test_write_flag_propagates(self, builder):
         stream = ContiguousStream(base=0, num_elements=8, elem_bytes=4)

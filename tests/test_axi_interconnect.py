@@ -1,12 +1,15 @@
-"""Tests for the interconnect blocks and the AXI-Pack compatibility story."""
+"""Tests for the address maps and the burst-level data-width converter.
+
+The routing half of the AXI-Pack compatibility story (packed bursts pass a
+demux and a mux unmodified) is tested at cycle level in
+``tests/test_axi_mux_corners.py``.
+"""
 
 import pytest
 
 from repro.axi.interconnect import (
     AddressMap,
     AddressRegion,
-    AxiDemux,
-    AxiMux,
     DataWidthConverter,
 )
 from repro.axi.pack import PackMode, PackUserField
@@ -99,44 +102,6 @@ class TestAddressMap:
     def test_empty_map_rejected(self):
         with pytest.raises(ConfigurationError):
             AddressMap([])
-
-
-class TestDemuxPassThrough:
-    def test_packed_bursts_pass_unmodified(self):
-        """The compatibility claim: routing IP needs no AXI-Pack awareness."""
-        demux = AxiDemux(MAP)
-        for request in (strided_request(), indirect_request()):
-            target, forwarded = demux.route(request)
-            assert target == 0
-            assert forwarded is request          # same object, untouched
-            assert forwarded.pack is request.pack
-        assert demux.routed_counts[0] == 2
-
-    def test_routing_by_address(self):
-        demux = AxiDemux(MAP)
-        target, _ = demux.route(strided_request(addr=0x9000))
-        assert target == 1
-
-    def test_straddling_contiguous_burst_rejected(self):
-        # Use a region boundary that is not 4 KiB aligned so the burst itself
-        # is AXI-legal but straddles two targets of this particular map.
-        unaligned_map = AddressMap([
-            AddressRegion(base=0x0000, size=0x7F00, target=0),
-            AddressRegion(base=0x7F00, size=0x1000, target=1),
-        ])
-        demux = AxiDemux(unaligned_map)
-        request = BusRequest(addr=0x7EC0, is_write=False, num_elements=32,
-                             elem_bytes=4, bus_bytes=32, contiguous=True)
-        with pytest.raises(ProtocolError):
-            demux.route(request)
-
-    def test_mux_forwards_unchanged(self):
-        mux = AxiMux(2)
-        request = strided_request()
-        assert mux.forward(1, request) is request
-        assert mux.forwarded == [0, 1]
-        with pytest.raises(ConfigurationError):
-            mux.forward(5, request)
 
 
 class TestDataWidthConverter:

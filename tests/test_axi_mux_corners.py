@@ -1,10 +1,11 @@
 """Interconnect corner coverage the program fuzzer cannot reach.
 
-The fuzzer drives the mux only through well-behaved vector engines, so two
+The fuzzer drives the mux only through well-behaved vector engines, so three
 classes of behaviour need direct stimulus: qos arbitration under sustained
 asymmetric traffic (starvation is the *specified* behaviour, and fairness
-bookkeeping must survive it), and demux straddle rejection exactly at
-``AddressMap`` region boundaries.
+bookkeeping must survive it), demux straddle rejection exactly at
+``AddressMap`` region boundaries, and the paper's §II-A compatibility claim
+that routing IP forwards packed bursts without touching them.
 """
 
 import pytest
@@ -36,6 +37,13 @@ def strided_burst(addr, elems=8, stride_elems=16, bus=BUS):
                       elem_bytes=4, bus_bytes=bus, contiguous=False,
                       pack=PackUserField(mode=PackMode.STRIDED,
                                          stride_elems=stride_elems))
+
+
+def indirect_burst(addr, elems=8, index_base=0x4000, bus=BUS):
+    return BusRequest(addr=addr, is_write=False, num_elements=elems,
+                      elem_bytes=4, bus_bytes=bus, contiguous=False,
+                      pack=PackUserField.indirect(4, index_base),
+                      index_base=index_base)
 
 
 def make_mux(n=2, arbitration="rr", qos=None):
@@ -212,3 +220,45 @@ class TestDemuxStraddleAtMapBoundaries:
         engine.step(3)
         assert downs[0].ar.occupancy == 1
         assert downs[1].ar.occupancy == 0
+
+
+class TestPackedBurstsPassUnmodified:
+    def test_demux_then_mux_forwards_the_same_request_object(self):
+        """The compatibility claim (§II-A): a demux feeding a 2:1 mux per
+        target delivers each packed burst to its endpoint as the very object
+        the requestor issued, user field untouched."""
+        up = AxiPort("up", BUS, AxiPortConfig())
+        links = [AxiPort(f"link{i}", BUS, AxiPortConfig()) for i in range(2)]
+        others = [AxiPort(f"other{i}", BUS, AxiPortConfig()) for i in range(2)]
+        endpoints = [AxiPort(f"ep{i}", BUS, AxiPortConfig()) for i in range(2)]
+        address_map = AddressMap([
+            AddressRegion(base=0x0000, size=0x800, target=0),
+            AddressRegion(base=0x0800, size=0x800, target=1),
+        ])
+        demux = CycleAxiDemux("demux", up, links, address_map)
+        muxes = [CycleAxiMux(f"mux{i}", [links[i], others[i]], endpoints[i])
+                 for i in range(2)]
+        engine = Engine(event_driven=False)
+        for component in (demux, *muxes):
+            engine.add_component(component)
+        for port in (up, *links, *others, *endpoints):
+            for queue in port.all_queues():
+                engine.add_queue(queue)
+
+        strided = strided_burst(0x0100, elems=8, stride_elems=3)
+        indirect = indirect_burst(0x0900, elems=8)
+        sent = [(strided, strided.pack, strided.pack.encode()),
+                (indirect, indirect.pack, indirect.pack.encode())]
+        up.ar.push(strided)
+        up.ar.push(indirect)
+        engine.step(8)
+
+        for endpoint, (request, pack, user_bits) in zip(endpoints, sent):
+            assert endpoint.ar.occupancy == 1
+            arrived = endpoint.ar.pop()
+            assert arrived is request            # same object, not a copy
+            assert arrived.pack is pack          # user field untouched
+            assert arrived.pack.encode() == user_bits
+        assert strided.mode is PackMode.STRIDED
+        assert indirect.mode is PackMode.INDIRECT
+        assert [mux.ar_grants for mux in muxes] == [[1, 0], [1, 0]]

@@ -6,31 +6,10 @@ from repro.axi.types import (
     AXI4_MAX_BURST_LEN,
     BurstType,
     Resp,
-    axsize_to_bytes,
-    bytes_to_axsize,
     check_burst_len_legal,
     check_incr_burst_legal,
 )
 from repro.errors import ProtocolError
-
-
-class TestSizeEncoding:
-    @pytest.mark.parametrize("num_bytes,code", [(1, 0), (2, 1), (4, 2), (8, 3), (32, 5), (128, 7)])
-    def test_bytes_to_axsize(self, num_bytes, code):
-        assert bytes_to_axsize(num_bytes) == code
-        assert axsize_to_bytes(code) == num_bytes
-
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(ProtocolError):
-            bytes_to_axsize(6)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ProtocolError):
-            bytes_to_axsize(0)
-
-    def test_axsize_range_checked(self):
-        with pytest.raises(ProtocolError):
-            axsize_to_bytes(8)
 
 
 class TestBurstLegality:

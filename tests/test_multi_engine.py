@@ -62,7 +62,7 @@ class TestCycleAxiMux:
             CycleAxiMux("m", [AxiPort("u", BUS)], down, arbitration="lottery")
         with pytest.raises(ConfigurationError):
             CycleAxiMux("m", [AxiPort("u", BUS)], down, qos=[1, 2])
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="same bus width"):
             CycleAxiMux("m", [AxiPort("u", 16)], down)
 
     def test_round_robin_alternates_between_requestors(self):

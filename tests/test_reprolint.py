@@ -216,6 +216,35 @@ class TestSuppressionMeta:
         assert result.suppressed[0].reason is not None
 
 
+# ---------------------------------------------------------------- dead-code
+class TestDeadCodeRule:
+    CALLERS = [f"{FIXTURES}/dead_caller*.py", f"{FIXTURES}/dead_pkg/*.py"]
+
+    def test_bad_fixture_flags_test_only_reexported_and_self_referenced(self):
+        manifest = {"dead_code_callers": self.CALLERS}
+        result = lint([f"{FIXTURES}/dead_bad.py"], ["dead-code"],
+                      manifest=manifest)
+        flagged = {v.message.split("`")[1] for v in result.violations}
+        assert codes(result) == ["DEAD01"] * 3
+        assert flagged == {"orphan", "reexported", "Recursive"}
+
+    def test_good_fixture_is_clean_once_the_exemption_is_listed(self):
+        manifest = {"dead_code_callers": self.CALLERS}
+        result = lint([f"{FIXTURES}/dead_good.py"], ["dead-code"],
+                      manifest=manifest)
+        key = "tests.fixtures.reprolint.dead_good:exempted"
+        assert codes(result) == ["DEAD01"]
+        assert f'"{key}"' in result.violations[0].message
+        manifest["dead_code_exempt"] = {key: "deliberately uncalled (test)"}
+        result = lint([f"{FIXTURES}/dead_good.py"], ["dead-code"],
+                      manifest=manifest)
+        assert codes(result) == []
+
+    def test_committed_exemptions_carry_reasons(self):
+        exempt = LintConfig.load(REPO_ROOT).dead_code_exempt
+        assert exempt and all(reason.strip() for reason in exempt.values())
+
+
 # -------------------------------------------------------------------- docs
 class TestDocsRule:
     def test_undocumented_surface_detected(self):
@@ -232,6 +261,31 @@ class TestDocsRule:
             "subcommand 'repro zap' not documented",
             "flag '--boom' (repro zap) not documented",
         ]
+
+    def test_bad_fixture_flags_undocumented_flag_and_broken_link(self):
+        manifest = {"docs": {"files": [f"{FIXTURES}/doc_bad.md"]}}
+        result = lint([], ["docs"], manifest=manifest)
+        doc01 = [v.message for v in result.violations if v.code == "DOC01"]
+        doc02 = [v for v in result.violations if v.code == "DOC02"]
+        assert any("flag '--jobs' (repro run)" in m for m in doc01)
+        assert not any("subcommand 'repro run'" in m for m in doc01)
+        assert [(v.path, v.line) for v in doc02] == [(f"{FIXTURES}/doc_bad.md", 5)]
+        assert "no_such_page.md" in doc02[0].message
+
+    def test_good_fixture_is_clean(self):
+        from tools.reprolint.rules.docs import doc_files
+
+        files = [*doc_files(REPO_ROOT), f"{FIXTURES}/doc_good.md"]
+        result = lint([], ["docs"], manifest={"docs": {"files": files}})
+        assert codes(result) == []
+
+    def test_doc_set_is_readme_plus_docs_tree(self):
+        from tools.reprolint.rules.docs import doc_files
+
+        docs = doc_files(REPO_ROOT)
+        assert docs[0] == "README.md"
+        assert "docs/testing.md" in docs
+        assert all(doc.endswith(".md") for doc in docs)
 
 
 # ------------------------------------------------------------- whole-repo

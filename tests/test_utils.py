@@ -5,21 +5,13 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.utils.bitutils import (
-    bit_length_for,
-    clog2,
     extract_field,
     insert_field,
     is_power_of_two,
     mask,
-    next_power_of_two,
 )
-from repro.utils.math import ceil_div, geometric_mean, is_prime, mean, round_up_to
-from repro.utils.validation import (
-    check_in_range,
-    check_multiple_of,
-    check_positive,
-    check_power_of_two,
-)
+from repro.utils.math import ceil_div, is_prime, mean, round_up_to
+from repro.utils.validation import check_positive
 
 
 class TestMask:
@@ -33,38 +25,12 @@ class TestMask:
             mask(-1)
 
 
-class TestClog2:
-    @pytest.mark.parametrize("value,expected", [(1, 0), (2, 1), (3, 2), (8, 3), (9, 4), (1024, 10)])
-    def test_values(self, value, expected):
-        assert clog2(value) == expected
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ConfigurationError):
-            clog2(0)
-
-    @given(st.integers(min_value=1, max_value=1 << 30))
-    def test_bound_property(self, value):
-        bits = clog2(value)
-        assert (1 << bits) >= value
-        if value > 1:
-            assert (1 << (bits - 1)) < value
-
-
 class TestPowerOfTwo:
     def test_is_power_of_two(self):
         assert is_power_of_two(1)
         assert is_power_of_two(64)
         assert not is_power_of_two(0)
         assert not is_power_of_two(12)
-
-    def test_next_power_of_two(self):
-        assert next_power_of_two(1) == 1
-        assert next_power_of_two(3) == 4
-        assert next_power_of_two(64) == 64
-
-    def test_next_power_of_two_rejects_zero(self):
-        with pytest.raises(ConfigurationError):
-            next_power_of_two(0)
 
 
 class TestFields:
@@ -88,11 +54,6 @@ class TestFields:
     def test_roundtrip_property(self, offset, width, value):
         value = value & ((1 << width) - 1)
         assert extract_field(insert_field(0, offset, width, value), offset, width) == value
-
-    def test_bit_length_for(self):
-        assert bit_length_for(0) == 1
-        assert bit_length_for(255) == 8
-        assert bit_length_for(256) == 9
 
 
 class TestMath:
@@ -124,13 +85,6 @@ class TestMath:
         with pytest.raises(ConfigurationError):
             mean([])
 
-    def test_geometric_mean(self):
-        assert geometric_mean([1, 4]) == pytest.approx(2.0)
-
-    def test_geometric_mean_rejects_non_positive(self):
-        with pytest.raises(ConfigurationError):
-            geometric_mean([1.0, 0.0])
-
     @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=10**4))
     def test_ceil_div_property(self, numerator, denominator):
         result = ceil_div(numerator, denominator)
@@ -143,20 +97,3 @@ class TestValidation:
         assert check_positive("x", 3) == 3
         with pytest.raises(ConfigurationError):
             check_positive("x", 0)
-
-    def test_check_in_range(self):
-        assert check_in_range("x", 5, 0, 10) == 5
-        with pytest.raises(ConfigurationError):
-            check_in_range("x", 11, 0, 10)
-
-    def test_check_power_of_two(self):
-        assert check_power_of_two("x", 8) == 8
-        with pytest.raises(ConfigurationError):
-            check_power_of_two("x", 6)
-
-    def test_check_multiple_of(self):
-        assert check_multiple_of("x", 12, 4) == 12
-        with pytest.raises(ConfigurationError):
-            check_multiple_of("x", 13, 4)
-        with pytest.raises(ConfigurationError):
-            check_multiple_of("x", 12, 0)

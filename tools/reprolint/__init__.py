@@ -12,7 +12,7 @@ those hand-kept rules into a machine-checked analysis pass:
   (themselves reported), human and ``--json`` output, stable exit codes.
 * :mod:`tools.reprolint.rules` — the rule battery (determinism, ordering,
   fingerprint completeness, hot-path contracts, twin coverage, deprecation,
-  documentation drift).
+  dead code, documentation drift).
 * ``manifest.json`` / ``fingerprint_manifest.json`` — committed manifests:
   the explicit allowlists and the fingerprint field-set pin, kept in the
   tree so every exemption shows up in diff review.

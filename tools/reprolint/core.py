@@ -133,6 +133,8 @@ class LintConfig:
         )
         self.deprecated: Dict[str, str] = manifest.get("deprecated_names", {})
         self.twins: Dict = manifest.get("twins", {})
+        self.dead_code_callers: List[str] = manifest.get("dead_code_callers", [])
+        self.dead_code_exempt: Dict[str, str] = manifest.get("dead_code_exempt", {})
         self.docs: Dict = manifest.get("docs", {})
         self.fingerprint: Dict = fingerprint
 

@@ -6,6 +6,7 @@ To add a rule: drop a module here, decorate its check function with
 """
 
 from tools.reprolint.rules import (
+    deadcode,
     deprecation,
     determinism,
     docs,

@@ -1,4 +1,4 @@
-"""Documentation-drift rules (the former ``tools/check_docs.py``).
+"""Documentation-drift rules.
 
 ``DOC01`` — CLI drift: a ``repro`` subcommand or long option introspected
     from the live argparse parser is not mentioned anywhere in the
