@@ -1,4 +1,4 @@
-"""Result tables: formatting, CSV export and simple text plots."""
+"""Result tables: formatting and CSV export."""
 
 from __future__ import annotations
 

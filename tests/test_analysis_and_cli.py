@@ -27,6 +27,19 @@ class TestReport:
         assert "figX" in rendered and "a note" in rendered
         assert table.to_dicts() == [{"x": 1, "y": 2}, {"x": 3, "y": 4}]
 
+    @pytest.mark.parametrize("cell,text", [
+        (0.5, "0.500"),
+        (-2.25, "-2.250"),
+        (999.9994, "999.999"),
+        (12345.6, "12,346"),
+        (-1000.0, "-1,000"),
+        (7, "7"),
+        ("PACK", "PACK"),
+    ])
+    def test_format_table_cell_rendering(self, cell, text):
+        lines = format_table([[cell]], ["c"]).splitlines()
+        assert lines[2].strip() == text
+
     def test_write_csv(self, tmp_path):
         table = ExperimentTable("figX", "caption", ["x", "y"])
         table.add_row(1, 2)

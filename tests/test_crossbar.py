@@ -3,6 +3,7 @@ the demux's same-target AW gate, multi-channel SoC assembly, per-channel
 statistics, and end-to-end verified workloads across the topology grid."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.axi.interconnect import InterleavedAddressMap
 from repro.axi.mux import CycleAxiDemux
@@ -53,6 +54,27 @@ class TestInterleavedAddressMap:
         with pytest.raises(ConfigurationError):
             InterleavedAddressMap(num_targets=4, stripe_bytes=2048,
                                   size_bytes=4096)
+
+    @pytest.mark.parametrize("stripe_bytes", [1, 64, 4096])
+    @given(num_targets=st.integers(min_value=1, max_value=5),
+           addr=st.integers(min_value=0, max_value=(1 << 16) - 1))
+    def test_shift_decode_matches_stripe_division(self, stripe_bytes,
+                                                  num_targets, addr):
+        # route() decodes with a shift by log2(stripe); it must agree with
+        # the defining division for every stripe size, including 1 byte.
+        amap = InterleavedAddressMap(num_targets=num_targets,
+                                     stripe_bytes=stripe_bytes,
+                                     size_bytes=1 << 16)
+        expected = (addr // stripe_bytes) % num_targets
+        assert amap.route(addr) == expected
+        assert amap.try_route(addr) == expected
+
+    def test_try_route_answers_minus_one_out_of_range(self):
+        amap = InterleavedAddressMap(num_targets=2, stripe_bytes=64,
+                                     size_bytes=4096)
+        assert amap.try_route(4095) == 1
+        assert amap.try_route(4096) == -1
+        assert amap.try_route(-1) == -1
 
 
 class TestConfigChannels:

@@ -164,6 +164,73 @@ class TestCycleAxiMux:
             engine.step(3)
 
 
+def granted(engine, queue, cycles):
+    """Step ``cycles`` cycles, popping every request the mux forwards."""
+    order = []
+    for _ in range(cycles):
+        engine.step()
+        while queue.can_pop():
+            order.append(queue.pop().addr)
+    return order
+
+
+class TestCycleAxiMuxRoundRobin:
+    """The round-robin scan: it starts after the last winner, skips ports
+    with nothing pending, and keeps one pointer per address channel."""
+
+    def test_single_requestor_wins_every_grant(self):
+        ups, down, mux, engine = make_mux(1)
+        for addr in (0x100, 0x200, 0x300):
+            ups[0].ar.push(read_burst(addr))
+        assert granted(engine, down.ar, 6) == [0x100, 0x200, 0x300]
+        assert mux.ar_grants == [3]
+
+    def test_idle_mux_grants_nothing(self):
+        ups, down, mux, engine = make_mux(3)
+        assert granted(engine, down.ar, 5) == []
+        assert not down.aw.can_pop()
+        assert mux.ar_grants == [0, 0, 0] and mux.aw_grants == [0, 0, 0]
+        assert not mux.busy()
+
+    def test_rotation_skips_idle_requestors(self):
+        ups, down, mux, engine = make_mux(3)
+        for _ in range(2):
+            ups[0].ar.push(read_burst(0x100))
+            ups[2].ar.push(read_burst(0x300))
+        assert granted(engine, down.ar, 8) == [0x100, 0x300, 0x100, 0x300]
+        assert mux.ar_grants == [2, 0, 2]
+
+    def test_scan_starts_after_the_last_winner(self):
+        ups, down, mux, engine = make_mux(3)
+        ups[1].ar.push(read_burst(0x200))
+        assert granted(engine, down.ar, 3) == [0x200]
+        # u1 won last, so u2 is scanned before u0 (fixed priority would
+        # pick u0).
+        ups[0].ar.push(read_burst(0x100))
+        ups[2].ar.push(read_burst(0x300))
+        assert granted(engine, down.ar, 4) == [0x300, 0x100]
+
+    def test_reset_restarts_the_scan_at_port_zero(self):
+        ups, down, mux, engine = make_mux(3)
+        ups[1].ar.push(read_burst(0x200))
+        granted(engine, down.ar, 3)
+        mux.reset()
+        assert mux.ar_grants == [0, 0, 0] and not mux.busy()
+        ups[0].ar.push(read_burst(0x100))
+        ups[2].ar.push(read_burst(0x300))
+        assert granted(engine, down.ar, 4) == [0x100, 0x300]
+
+    def test_ar_and_aw_pointers_are_independent(self):
+        ups, down, mux, engine = make_mux(2)
+        ups[0].ar.push(read_burst(0x100))
+        assert granted(engine, down.ar, 3) == [0x100]
+        # The AR win moved only the AR pointer: u0 still leads the AW scan.
+        ups[1].aw.push(write_burst(0x200))
+        ups[0].aw.push(write_burst(0x100))
+        assert granted(engine, down.aw, 4) == [0x100, 0x200]
+        assert mux.aw_grants == [1, 1]
+
+
 class TestCycleAxiDemux:
     def make_demux(self):
         up = AxiPort("up", BUS)

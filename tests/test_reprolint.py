@@ -11,6 +11,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
@@ -243,6 +245,85 @@ class TestDeadCodeRule:
     def test_committed_exemptions_carry_reasons(self):
         exempt = LintConfig.load(REPO_ROOT).dead_code_exempt
         assert exempt and all(reason.strip() for reason in exempt.values())
+
+    def test_committed_exemptions_name_live_symbols(self):
+        # A stale key would silently exempt nothing; every key must name a
+        # module-level definition that still exists.
+        import ast
+
+        for key in LintConfig.load(REPO_ROOT).dead_code_exempt:
+            module, name = key.split(":")
+            path = REPO_ROOT / "src" / (module.replace(".", "/") + ".py")
+            tree = ast.parse(path.read_text())
+            assert name in {getattr(node, "name", None) for node in tree.body}, key
+
+    @pytest.mark.parametrize("rel,module", [
+        ("src/repro/axi/types.py", "repro.axi.types"),
+        ("src/repro/sim/__init__.py", "repro.sim"),
+        ("tests/fixtures/reprolint/dead_good.py",
+         "tests.fixtures.reprolint.dead_good"),
+    ])
+    def test_module_name_forms_exemption_keys(self, rel, module):
+        from tools.reprolint.rules.deadcode import module_name
+
+        assert module_name(rel) == module
+
+    @pytest.mark.parametrize("basename,is_test", [
+        ("test_axi.py", True),
+        ("axi_test.py", True),
+        ("conftest.py", True),
+        ("testing.py", False),
+        ("contest.py", False),
+    ])
+    def test_only_test_module_basenames_are_excluded(self, basename, is_test):
+        from tools.reprolint.rules.deadcode import _TEST_FILE_RE
+
+        assert bool(_TEST_FILE_RE.match(basename)) is is_test
+
+    @staticmethod
+    def refs(source, package_init=False):
+        import ast
+
+        from tools.reprolint.rules.deadcode import references
+
+        return references(ast.parse(source), package_init)
+
+    def test_names_attributes_and_import_aliases_are_references(self):
+        found = self.refs(
+            "from pkg.mod import original as alias\n"
+            "import pkg.other as other\n"
+            "value = other.Widget(helper())\n"
+        )
+        assert {"original", "Widget", "helper", "other"} <= found
+
+    def test_strings_docstrings_and_all_are_not_references(self):
+        found = self.refs(
+            '"""Mentions orphan in prose."""\n'
+            '__all__ = ["exported"]\n'
+            'label = "named_in_a_string"\n'
+        )
+        assert not {"orphan", "exported", "named_in_a_string"} & found
+
+    def test_package_init_imports_are_not_references(self):
+        source = "from pkg.mod import reexported\n"
+        assert "reexported" in self.refs(source)
+        assert "reexported" not in self.refs(source, package_init=True)
+
+    def test_self_mention_dropped_but_use_by_a_sibling_counts(self):
+        assert "walk" not in self.refs(
+            "def walk(node):\n    return [walk(c) for c in node]\n"
+        )
+        assert "walk" in self.refs(
+            "def walk(node):\n    return node\n\n"
+            "def main():\n    return walk(1)\n"
+        )
+
+    def test_async_definitions_drop_their_self_mentions_too(self):
+        found = self.refs(
+            "async def poll():\n    await poll()\n\n"
+            "class Node:\n    def clone(self):\n        return Node()\n"
+        )
+        assert not {"poll", "Node"} & found
 
 
 # -------------------------------------------------------------------- docs

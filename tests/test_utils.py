@@ -32,6 +32,10 @@ class TestPowerOfTwo:
         assert not is_power_of_two(0)
         assert not is_power_of_two(12)
 
+    @given(st.integers(min_value=-(1 << 20), max_value=1 << 40))
+    def test_is_power_of_two_property(self, value):
+        assert is_power_of_two(value) == (value > 0 and bin(value).count("1") == 1)
+
 
 class TestFields:
     def test_insert_then_extract(self):
@@ -48,6 +52,14 @@ class TestFields:
     def test_insert_rejects_overflow(self):
         with pytest.raises(ConfigurationError):
             insert_field(0, 0, 4, 16)
+        with pytest.raises(ConfigurationError):
+            insert_field(0, 0, 4, -1)
+
+    def test_extract_rejects_negative_geometry(self):
+        with pytest.raises(ConfigurationError):
+            extract_field(0xFF, -1, 4)
+        with pytest.raises(ConfigurationError):
+            extract_field(0xFF, 0, -4)
 
     @given(st.integers(min_value=0, max_value=31), st.integers(min_value=1, max_value=16),
            st.integers(min_value=0))
@@ -77,6 +89,17 @@ class TestMath:
     ])
     def test_is_prime(self, value, expected):
         assert is_prime(value) is expected
+
+    def test_is_prime_matches_trial_division_up_to_256(self):
+        for value in range(-2, 257):
+            naive = value >= 2 and all(value % d for d in range(2, value))
+            assert is_prime(value) is naive, value
+
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=4096))
+    def test_round_up_to_property(self, value, multiple):
+        result = round_up_to(value, multiple)
+        assert result % multiple == 0
+        assert value <= result < value + multiple
 
     def test_mean(self):
         assert mean([1, 2, 3]) == 2.0

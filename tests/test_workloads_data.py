@@ -80,6 +80,24 @@ class TestGenerators:
         with pytest.raises(WorkloadError):
             random_csr(8, 8, avg_nnz_per_row=100)
 
+    def test_random_csr_is_a_function_of_its_seed(self):
+        first = random_csr(32, 32, avg_nnz_per_row=8, seed=5)
+        again = random_csr(32, 32, avg_nnz_per_row=8, seed=5)
+        other = random_csr(32, 32, avg_nnz_per_row=8, seed=6)
+        for name in ("row_ptr", "col_idx", "values"):
+            assert np.array_equal(getattr(first, name), getattr(again, name))
+        assert not np.array_equal(first.col_idx[:8], other.col_idx[:8])
+
+    @pytest.mark.parametrize("spread", [0.0, 0.5])
+    def test_row_lengths_stay_inside_the_spread(self, spread):
+        matrix = random_csr(64, 64, avg_nnz_per_row=12, seed=3,
+                            nnz_spread=spread)
+        lengths = np.diff(matrix.row_ptr.astype(np.int64))
+        assert lengths.min() >= round(12 * (1 - spread))
+        assert lengths.max() <= round(12 * (1 + spread))
+        if spread == 0.0:
+            assert set(lengths.tolist()) == {12}
+
     def test_heart1_like_properties(self):
         matrix = heart1_like(num_rows=64)
         assert matrix.num_rows == 64
