@@ -3,7 +3,7 @@
 The adapter is the single simulation component that owns the five burst
 converters.  Per cycle it:
 
-1. routes word responses from the banked memory back to the converter that
+1. routes word responses from the bank stage back to the converter that
    issued them;
 2. runs each converter's internal housekeeping (index extraction, planning);
 3. demultiplexes at most one AR and one AW request onto the right converter;
@@ -13,13 +13,16 @@ converters.  Per cycle it:
 6. multiplexes at most one R beat and one B response per cycle back onto the
    AXI port — the R channel is a single physical bus, and this one-beat-per-
    cycle rule is what every utilization number in the paper is measured
-   against.
+   against;
+7. runs the bank stage (:meth:`~repro.mem.banked.BankedMemory.tick`): the
+   banked memory is part of this controller, not a component of its own, and
+   the word FIFOs between the two never pass through the engine.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Set, Tuple
+from typing import Deque, Iterable, List, Optional, Set, Tuple
 
 from repro.axi.monitor import ChannelMonitor
 from repro.axi.port import AxiPort
@@ -34,7 +37,7 @@ from repro.controller.strided_read import StridedReadConverter
 from repro.controller.strided_write import StridedWriteConverter
 from repro.errors import ProtocolError
 from repro.mem.banked import BankedMemory
-from repro.sim.component import IDLE, Component, WakeHint
+from repro.sim.component import Component, WakeHint
 from repro.sim.datapath import DatapathMode
 from repro.sim.policy import DataPolicy
 from repro.sim.stats import StatsRegistry
@@ -150,25 +153,26 @@ class AxiPackAdapter(Component):
         self._issue_rr = 0
         self._emit_rr = 0
         self._last_tick: Optional[int] = None
-        self._outstanding_words = 0  #: word accesses issued, responses pending
         #: accepted read bursts whose final (last) R beat is still pending —
         #: gates the R emission scan on cycles with nothing to emit
         self._open_read_bursts = 0
         #: accepted write bursts whose B response is still pending
         self._open_write_bursts = 0
-        #: whether any word port could accept a request at the end of the
-        #: last tick's issue phase — the state every slept-through cycle
-        #: observes (see the rotation replay in :meth:`tick`)
+        #: whether any word port could accept a request in the last tick's
+        #: issue phase — the state every slept-through cycle observes (see
+        #: the rotation replay in :meth:`tick`)
         self._ports_free_after_issue = True
         # Prebound hot-path containers and counters (see repro.sim.stats).
-        self._request_queues = memory.request_queues
-        self._response_queues = memory.response_queues
+        self._responses = [fifo.items for fifo in memory.response_fifos]
+        self._requests = [fifo.items for fifo in memory.request_fifos]
+        self._request_depth = memory.config.request_queue_depth
+        self._num_ports = memory.config.num_ports
+        self._all_ports = frozenset(range(self._num_ports))
         self._ar = port.ar
         self._aw = port.aw
         self._w = port.w
         self._r = port.r
         self._b = port.b
-        self._issue_buffer: List = []  #: reused per-cycle word-request list
         self._c_word_requests = self.stats.counter("adapter.word_requests")
         self._c_r_beats = self.stats.counter("adapter.r_beats")
         self._c_r_useful = self.stats.counter("adapter.r_useful_bytes")
@@ -199,20 +203,17 @@ class AxiPackAdapter(Component):
             # engine those cycles would each have rotated the issue
             # round-robin pointer — provided at least one word port was free
             # (``_issue_word_requests`` returns before the rotation when every
-            # request queue is full).  The adapter sleeps only while none of
-            # its subscribed queues see activity, and the adapter ticks
-            # before the memory within a cycle, so every slept-through cycle
-            # observes the request-queue occupancy as it stood at the end of
-            # the last tick's issue phase (a pop that frees a port wakes the
-            # adapter for the *next* cycle and is never visible to the
-            # skipped tick of its own cycle).  Replaying from that captured
-            # state reconstructs the seed behaviour exactly.
+            # request FIFO is full).  The controller sleeps only after a tick
+            # that moved no word, so every slept-through cycle observes the
+            # request-FIFO occupancy its last issue phase saw.  Replaying
+            # from that captured state reconstructs the seed behaviour
+            # exactly.
             if self._ports_free_after_issue:
                 skipped = cycle - self._last_tick - 1
                 self._issue_rr = (self._issue_rr + skipped) % len(self.converters)
         self._last_tick = cycle
-        if self._outstanding_words:
-            self._route_memory_responses()
+        memory = self.memory
+        moved = self._route_memory_responses() if memory.waiting else 0
         for step, bursts in self._stepping_info:
             # Only the indirect converters do per-cycle housekeeping (index
             # extraction, planning); the others' step is a no-op, and an
@@ -227,35 +228,38 @@ class AxiPackAdapter(Component):
             self._emit_r_beat()
         if self._open_write_bursts:
             self._emit_b_beat()
-        # Every state transition of the adapter and its converters is driven
-        # by queue events it is subscribed to: bursts arrive on AR/AW/W,
-        # word responses arrive on the memory response queues, back-pressure
-        # clears when R/B or the memory request queues are popped, and any
-        # progress the adapter itself made this cycle touched a queue (its
-        # own pushes/pops), which re-wakes it next cycle automatically.  The
+        moved += memory.tick(cycle)
+        # AXI-side transitions are driven by queue events the adapter is
+        # subscribed to: bursts arrive on AR/AW/W, back-pressure clears when
+        # R/B are popped, and the adapter's own pushes/pops re-wake it next
+        # cycle.  The word FIFOs are private, so a tick that moved a word
+        # re-wakes the controller itself and counts the moves as engine
+        # activity (deadlock detection sees every word push and pop).  The
+        # only time-gated event is an in-flight bank access maturing; the
         # only per-cycle state, the issue rotation, is replayed on wake-up.
-        return IDLE
+        if moved:
+            engine = self._engine
+            if engine is not None:
+                engine._activity += moved
+            return cycle + 1
+        ready = memory.next_ready
+        return ready if ready > cycle else cycle + 1
 
     def wake_queues(self):
-        return [*self.port.all_queues(), *self.memory.all_queues()]
+        return self.port.all_queues()
+
+    def private_queues(self) -> Iterable:
+        return self.memory.fifos()
 
     # -------------------------------------------------------------- responses
-    def _route_memory_responses(self) -> None:
-        outstanding = self._outstanding_words
-        for queue in self._response_queues:
-            storage = queue._storage
-            if not storage:
+    def _route_memory_responses(self) -> int:
+        """Pop one response per port (in port order); return the count."""
+        routed = 0
+        for fifo in self._responses:
+            if not fifo:
                 continue
-            # Inlined DecoupledQueue.pop (one response per port per cycle).
-            queue.total_popped += 1
-            queue._count -= 1
-            engine = queue._engine
-            if engine is not None:
-                engine._activity += 1
-                if not queue._touched:
-                    queue._touched = True
-                    engine._touched_queues.append(queue)
-            response = storage.popleft()
+            response = fifo.popleft()
+            routed += 1
             pipe, state, slot = response.tag
             if response.resp is _RESP_OKAY:
                 if response.is_write:
@@ -268,8 +272,8 @@ class AxiPackAdapter(Component):
                 pipe.take_error_ack(state, slot, response.resp)
             else:
                 pipe.take_error_response(state, slot, response.resp)
-            outstanding -= 1
-        self._outstanding_words = outstanding
+        self.memory.waiting -= routed
+        return routed
 
     # ---------------------------------------------------------------- demux
     def _demux_requests(self) -> None:
@@ -306,10 +310,12 @@ class AxiPackAdapter(Component):
 
     # ----------------------------------------------------------------- issue
     def _issue_word_requests(self) -> None:
-        queues = self._request_queues
         converters = self.converters
         conv_unissued = self._conv_unissued
         count = len(converters)
+        memory = self.memory
+        full_ports = memory.full_ports
+        self._ports_free_after_issue = full_ports < self._num_ports
         # A converter has work iff one of its pipes' unissued deques is
         # non-empty; `dqs[0] or dqs[-1]` covers both the one- and two-pipe
         # tuples without a loop.
@@ -319,21 +325,24 @@ class AxiPackAdapter(Component):
         else:
             # Nothing to issue: the seed engine still rotated the round-robin
             # pointer whenever at least one word port was free.
-            for queue in queues:
-                if queue._count < queue.depth:
-                    self._issue_rr = (self._issue_rr + 1) % count
-                    self._ports_free_after_issue = True
-                    return
-            self._ports_free_after_issue = False
+            if self._ports_free_after_issue:
+                self._issue_rr = (self._issue_rr + 1) % count
             return
-        free_ports: Set[int] = set()
-        for port, queue in enumerate(queues):
-            if queue._count < queue.depth:
-                free_ports.add(port)
-        self._ports_free_after_issue = bool(free_ports)
-        if not free_ports:
-            return
-        requests = self._issue_buffer
+        if not full_ports:
+            free_ports: Set[int] = set(self._all_ports)
+        else:
+            depth = self._request_depth
+            free_ports = {
+                port for port, fifo in enumerate(self._requests)
+                if len(fifo) < depth
+            }
+            if not free_ports:
+                return
+        # Converters append their words to the bank stage's ``issued`` list,
+        # at most one per free port (a used port leaves ``free_ports``); the
+        # bank stage moves them into the request FIFOs at the end of the
+        # tick, after its grant phase.
+        issued = memory.issued
         rr = self._issue_rr
         for offset in range(count):
             index = rr + offset
@@ -342,35 +351,12 @@ class AxiPackAdapter(Component):
             dqs = conv_unissued[index]
             # An idle converter has no slots to issue; skip the call.
             if dqs[0] or dqs[-1]:
-                converters[index].issue(free_ports, requests)
+                converters[index].issue(free_ports, issued)
                 if not free_ports:
                     break
         self._issue_rr = (rr + 1) % count
-        if requests:
-            self._outstanding_words += len(requests)
-            self._c_word_requests.value += len(requests)
-            for request in requests:
-                # Inlined DecoupledQueue.push; space is guaranteed because
-                # ports leave free_ports the moment their queue fills.
-                queue = queues[request.port]
-                queue._incoming.append(request)
-                queue._count += 1
-                queue.total_pushed += 1
-                engine = queue._engine
-                if engine is not None:
-                    engine._activity += 1
-                    if not queue._touched:
-                        queue._touched = True
-                        engine._touched_queues.append(queue)
-            del requests[:]
-            # This tick's pushes may have filled the last free port; slept
-            # cycles must observe the post-push occupancy.
-            for queue in queues:
-                if queue._count < queue.depth:
-                    self._ports_free_after_issue = True
-                    break
-            else:
-                self._ports_free_after_issue = False
+        if issued:
+            self._c_word_requests.value += len(issued)
 
     # ------------------------------------------------------------------ emit
     def _emit_r_beat(self) -> None:
@@ -424,8 +410,10 @@ class AxiPackAdapter(Component):
 
     # ----------------------------------------------------------------- state
     def busy(self) -> bool:
-        return any(converter.busy() for converter in self.converters) or bool(
-            self._w_routing
+        return (
+            any(converter.busy() for converter in self.converters)
+            or bool(self._w_routing)
+            or self.memory.busy()
         )
 
     def reset(self) -> None:
@@ -438,7 +426,7 @@ class AxiPackAdapter(Component):
         self._issue_rr = 0
         self._emit_rr = 0
         self._last_tick = None
-        self._outstanding_words = 0
         self._open_read_bursts = 0
         self._open_write_bursts = 0
         self._ports_free_after_issue = True
+        self.memory.reset()

@@ -231,10 +231,7 @@ class ControllerTestbench:
         )
         engine.add_component(requestor)
         engine.add_component(self.adapter)
-        engine.add_component(self.memory)
         for queue in self.port.all_queues():
-            engine.add_queue(queue)
-        for queue in self.memory.all_queues():
             engine.add_queue(queue)
         cycles = engine.run_until(requestor.done, max_cycles=max_cycles)
         # Drain a few extra cycles so late statistics settle.

@@ -1,4 +1,4 @@
-"""Cycle-level multi-banked SRAM with a port-to-bank crossbar.
+"""Cycle-level multi-banked SRAM: the bank stage of the AXI-Pack controller.
 
 This models the memory the AXI-Pack controller sits in front of (paper
 §II-C): ``num_ports`` word-wide request ports connected through an
@@ -7,21 +7,33 @@ serves one word access per cycle; when several ports target the same bank in
 the same cycle, all but one stall — those stalls are the bank conflicts that
 limit the utilization curves of Fig. 5.
 
+The memory is not an engine component of its own.  Like the hardware, where
+the converters issue word accesses straight onto the bank crossbar, it is
+the *bank stage* of :class:`~repro.controller.adapter.AxiPackAdapter`: the
+adapter's tick ends by calling :meth:`BankedMemory.tick` for the same
+cycle.  Adapter and banks talk through per-port :class:`WordFifo` pairs that
+only the adapter's issue/route phases and the bank stage touch, so no word
+passes through the engine's dirty list, commits or waiter wakes.  The timing
+is that of two registered FIFOs:
+
+* a word the adapter issues at cycle *c* lands in :attr:`BankedMemory.issued`
+  and is appended to its request FIFO after the grant phase of *c*, so it
+  can be granted from *c + 1*;
+* a response the bank delivers at *c* can be routed from *c + 1*, because
+  the adapter routes before the bank stage runs;
+* a FIFO's depth counts every word in it, and a pop frees space at once.
+
 Arbitration is *batched*: every cycle the head-of-line requests of all ports
-are gathered into claim lists, their banks computed in one pass, and winners
-picked per bank from the precomputed bank list.  The grants are exactly
-those of the scalar reference arbiter: per bank, the claimant with the
-smallest ``(port - last_grant - 1) % num_ports`` wins (all claimants win
-under ``conflict_free``), and since each port contributes at most one
-request per cycle, per-port state is independent of the order banks are
-resolved in.  Array-side formulations (``BankAddressMap.banks_of_words``
-over the claim words, or a full lexsort on ``(bank, rotated priority)`` plus
-first-of-run masking) compute the same winners but were measured slower
-than plain modulo over claim lists bounded by ``num_ports``; the property
-test in ``tests/test_data_policy.py`` pins the equivalence.  Granted
-requests double as their own responses (FULL reads deposit the word into
-the request's ``data`` field), and response delivery advances the engine's
-activity counter by the exact batch size per port.
+are gathered into claim lists and winners picked per bank.  The grants are
+exactly those of the scalar reference arbiter: per bank, the claimant with
+the smallest ``(port - last_grant - 1) % num_ports`` wins (all claimants win
+under ``conflict_free``).  Each port contributes at most one request per
+cycle, so per-port state is independent of the order banks are resolved in;
+a cycle whose claimants all hit distinct banks grants them all without
+building per-bank claim lists.  The property test in
+``tests/test_data_policy.py`` pins the equivalence.  Granted requests double
+as their own responses (FULL reads deposit the word into the request's
+``data`` field).
 """
 
 from __future__ import annotations
@@ -34,10 +46,9 @@ from repro.axi.faults import BusFaultPlan
 from repro.axi.types import Resp, worst_resp
 from repro.errors import ConfigurationError
 from repro.mem.storage import MemoryStorage
-from repro.mem.words import BankAddressMap, WordRequest, WordResponse
-from repro.sim.component import IDLE, Component, WakeHint
+from repro.mem.words import BankAddressMap, WordRequest
+from repro.sim.component import IDLE
 from repro.sim.policy import DataPolicy
-from repro.sim.queue import DecoupledQueue
 from repro.sim.stats import StatsRegistry
 from repro.utils.validation import check_positive
 
@@ -70,13 +81,42 @@ class BankedMemoryConfig:
         return BankAddressMap(num_banks=self.num_banks, word_bytes=self.word_bytes)
 
 
-class BankedMemory(Component):
-    """The banked SRAM endpoint with per-port request/response queues.
+class WordFifo:
+    """One direction of one word port: a bounded FIFO of word records.
 
-    Converters push :class:`~repro.mem.words.WordRequest` items into
-    ``request_queues[port]`` and receive :class:`WordResponse` items from
-    ``response_queues[port]``.  Responses on one port always return in
-    request order (fixed bank latency plus in-order issue per port).
+    ``items`` holds :class:`~repro.mem.words.WordRequest` records oldest
+    first (a granted request doubles as its own response).  ``depth`` bounds
+    ``len(items)``; the writer checks for room before appending.  The FIFO is
+    private to the controller and never registered with the engine; ``name``,
+    :attr:`occupancy` and :meth:`is_empty` let
+    :meth:`~repro.sim.engine.Engine.diagnose` report it like an engine queue.
+    """
+
+    __slots__ = ("name", "depth", "items")
+
+    def __init__(self, name: str, depth: int) -> None:
+        self.name = name
+        self.depth = check_positive("queue depth", depth)
+        self.items: Deque[WordRequest] = deque()
+
+    @property
+    def occupancy(self) -> int:
+        """Number of words in the FIFO."""
+        return len(self.items)
+
+    def is_empty(self) -> bool:
+        """Return True if the FIFO holds no word."""
+        return not self.items
+
+
+class BankedMemory:
+    """The banked SRAM behind one adapter, stepped as its bank stage.
+
+    The adapter appends the :class:`~repro.mem.words.WordRequest` items it
+    issues at a cycle to :attr:`issued` (at most one per port, and only on a
+    port whose request FIFO has room) and pops responses from
+    ``response_fifos[port]``.  Responses on one port always return in request
+    order (fixed bank latency plus in-order issue per port).
 
     Under ``DataPolicy.ELIDE`` the banks never touch the backing
     :class:`MemoryStorage`: accesses are granted, counted and timed exactly
@@ -93,7 +133,7 @@ class BankedMemory(Component):
         data_policy: DataPolicy = DataPolicy.FULL,
         bus_faults: Optional[BusFaultPlan] = None,
     ) -> None:
-        super().__init__(name)
+        self.name = name
         self.config = config
         self.storage = storage
         self.stats = stats if stats is not None else StatsRegistry()
@@ -106,27 +146,38 @@ class BankedMemory(Component):
             and bus_faults.touches_port(name) else None
         )
         self.address_map = config.address_map
-        self.request_queues: List[DecoupledQueue[WordRequest]] = [
-            DecoupledQueue(f"{name}.req[{port}]", config.request_queue_depth)
+        self.request_fifos = [
+            WordFifo(f"{name}.req[{port}]", config.request_queue_depth)
             for port in range(config.num_ports)
         ]
-        self.response_queues: List[DecoupledQueue[WordResponse]] = [
-            DecoupledQueue(f"{name}.rsp[{port}]", config.response_queue_depth)
+        self.response_fifos = [
+            WordFifo(f"{name}.rsp[{port}]", config.response_queue_depth)
             for port in range(config.num_ports)
         ]
-        # In-flight accesses: (ready_cycle, response) kept in issue order per port.
-        self._in_flight: List[Deque[Tuple[int, WordResponse]]] = [
+        #: words the adapter issued this cycle; :meth:`tick` moves them into
+        #: their request FIFOs after the grant phase
+        self.issued: List[WordRequest] = []
+        #: words in the request FIFOs
+        self.queued = 0
+        #: request FIFOs holding ``request_queue_depth`` words
+        self.full_ports = 0
+        #: words in the response FIFOs, not yet routed by the adapter
+        self.waiting = 0
+        #: earliest cycle at which a head-of-line in-flight access matures
+        #: (IDLE when nothing is in flight); at or before the current cycle
+        #: only while a full response FIFO holds a matured access back
+        self.next_ready: float = IDLE
+        # Prebound per-port containers (stable across reset).
+        self._requests = [fifo.items for fifo in self.request_fifos]
+        self._responses = [fifo.items for fifo in self.response_fifos]
+        # In-flight accesses: (ready_cycle, request) kept in issue order per port.
+        self._in_flight: List[Deque[Tuple[int, WordRequest]]] = [
             deque() for _ in range(config.num_ports)
         ]
-        self._flight_count = 0  #: total in-flight accesses across all ports
-        #: prebound (request queue, in-flight deque) per port for the
-        #: gather scan (both containers are stable across reset)
-        self._port_pairs = list(zip(self.request_queues, self._in_flight))
         self._bank_last_grant: List[int] = [config.num_ports - 1] * config.num_banks
         #: writable view of the memory image for single-word accesses — the
         #: FULL-policy word read/write fast path (aliases storage._data)
         self._mem_view = storage._data.data
-        self._mem_size = storage.size_bytes
         #: number of whole words in the image — the word-granular range
         #: check is two integer compares, policy-independent by design
         self._num_words = storage.size_bytes // config.word_bytes
@@ -136,166 +187,111 @@ class BankedMemory(Component):
         self._c_writes = self.stats.counter("mem.word_writes")
         self._c_reads = self.stats.counter("mem.word_reads")
 
-    # ----------------------------------------------------------------- wiring
-    def all_queues(self) -> List[DecoupledQueue]:
-        """Every queue owned by the memory (for engine registration)."""
-        return [*self.request_queues, *self.response_queues]
-
     # ------------------------------------------------------------------ tick
-    def tick(self, cycle: int) -> WakeHint:
-        if self._flight_count:
-            self._deliver_responses(cycle)
-        self._accept_requests(cycle)
-        # New requests and response-queue back-pressure wake us through the
-        # queue subscriptions; the only time-gated event is an in-flight
-        # access maturing after the bank latency.
-        if not self._flight_count:
-            return IDLE
-        wake = IDLE
-        for in_flight in self._in_flight:
-            if in_flight:
-                ready = in_flight[0][0]
-                if ready > cycle and ready < wake:
-                    wake = ready
-        return wake
+    def tick(self, cycle: int) -> int:
+        """Run the bank stage for ``cycle``; return the words it moved.
 
-    def wake_queues(self):
-        return self.all_queues()
+        Delivers matured accesses into the response FIFOs, grants the
+        request-FIFO heads, then appends this cycle's :attr:`issued` words
+        to their request FIFOs.  The count (deliveries + grants + appends) is
+        the number of FIFO pushes and pops, which the caller adds to the
+        engine's activity counter.
+        """
+        moved = 0
+        if cycle >= self.next_ready:
+            moved = self._deliver_responses(cycle)
+        if self.queued:
+            moved += self._accept_requests(cycle)
+        issued = self.issued
+        if issued:
+            requests = self._requests
+            depth = self.config.request_queue_depth
+            for request in issued:
+                fifo = requests[request.port]
+                fifo.append(request)
+                if len(fifo) == depth:
+                    self.full_ports += 1
+            count = len(issued)
+            self.queued += count
+            moved += count
+            del issued[:]
+        return moved
 
-    def _deliver_responses(self, cycle: int) -> None:
-        # Batched delivery: all of a port's matured responses land through
-        # one DecoupledQueue.push_many call, which advances the engine's
-        # activity counter by the exact item count while marking the dirty
-        # list once per queue.
+    def _deliver_responses(self, cycle: int) -> int:
         delivered = 0
-        response_queues = self.response_queues
-        batch: List = []
+        next_ready = IDLE
+        responses = self._responses
+        depth = self.config.response_queue_depth
         for port, in_flight in enumerate(self._in_flight):
             if not in_flight:
                 continue
-            queue = response_queues[port]
-            room = queue.depth - queue._count
-            while room > 0 and in_flight and in_flight[0][0] <= cycle:
-                batch.append(in_flight.popleft()[1])
+            fifo = responses[port]
+            room = depth - len(fifo)
+            while room and in_flight[0][0] <= cycle:
+                fifo.append(in_flight.popleft()[1])
+                delivered += 1
                 room -= 1
-            if batch:
-                queue.push_many(batch)
-                delivered += len(batch)
-                del batch[:]
-        self._flight_count -= delivered
+                if not in_flight:
+                    break
+            else:
+                # Stopped at a full FIFO or an unmatured head, which now
+                # bounds the next delivery.
+                ready = in_flight[0][0]
+                if ready < next_ready:
+                    next_ready = ready
+        self.next_ready = next_ready
+        self.waiting += delivered
+        return delivered
 
-    def _accept_requests(self, cycle: int) -> None:
+    def _accept_requests(self, cycle: int) -> int:
+        """Arbitrate the request-FIFO heads and grant the winners; return
+        how many were granted."""
         config = self.config
         in_flight_limit = 4 * config.response_queue_depth
-        request_queues = self.request_queues
+        requests = self._requests
         all_in_flight = self._in_flight
-        # Gather this cycle's head-of-line claimants.  The single-claimant
-        # case (the majority of cycles) stays on plain scalars; two or more
-        # claimants are batched into the claim lists below.
-        first_port = -1
-        first_word = 0
-        batch_ports = None
-        batch_words = None
-        for port, (queue, flight) in enumerate(self._port_pairs):
-            storage = queue._storage
-            if not storage:
-                continue
-            # Hold issue if the response path is saturated to bound in-flight state.
-            if len(flight) >= in_flight_limit:
-                continue
-            if first_port < 0:
-                first_port = port
-                first_word = storage[0].word_addr
-            elif batch_ports is None:
-                batch_ports = [first_port, port]
-                batch_words = [first_word, storage[0].word_addr]
-            else:
-                batch_ports.append(port)
-                batch_words.append(storage[0].word_addr)
-        if first_port < 0:
-            return
-        conflict_free = config.conflict_free
-        if batch_ports is None:
-            if not conflict_free:
-                self._bank_last_grant[first_word % config.num_banks] = first_port
-            granted = (first_port,)
-        elif conflict_free:
-            # The ideal crossbar grants every claimant; no conflicts, no
-            # round-robin state.  Port order matches the scalar arbiter's
-            # claim-list order (claimants were gathered in port order).
-            granted = batch_ports
-        else:
-            # One batched bank computation for the whole claim list; the
-            # winner-per-bank pick then runs over the precomputed bank list.
-            # (Both the numpy `banks_of_words` call and a full array-side
-            # selection — lexsort on (bank, rotated priority) +
-            # first-of-run masking — were measured slower than plain modulo
-            # over a claim list bounded by num_ports; see
-            # tests/test_data_policy.py for the equivalence property test.)
+        # Gather this cycle's head-of-line claimants: every port with a
+        # request whose response path is not saturated (holding issue there
+        # bounds the in-flight state).
+        ports = []
+        words = []
+        for port, fifo in enumerate(requests):
+            if fifo and len(all_in_flight[port]) < in_flight_limit:
+                ports.append(port)
+                words.append(fifo[0].word_addr)
+        if not ports:
+            return 0
+        if not config.conflict_free:
             num_banks = config.num_banks
-            banks = [word % num_banks for word in batch_words]
             last_grant = self._bank_last_grant
-            num_ports = config.num_ports
-            claims: dict = {}
-            for index, bank in enumerate(banks):
-                prev = claims.get(bank)
-                if prev is None:
-                    claims[bank] = index
-                elif prev.__class__ is int:
-                    claims[bank] = [prev, index]
-                else:
-                    prev.append(index)
-            granted = []
-            # Bank keys are unique and per-port state is independent, so any
-            # grant order is behaviour-identical — but iterate in sorted bank
-            # order anyway so the walk itself is deterministic by
-            # construction, not by insertion-order accident (reprolint ORD01).
-            for bank, entry in sorted(claims.items()):
-                if entry.__class__ is int:
-                    port = batch_ports[entry]
-                else:
-                    # Round-robin pick: the claimant round-robin-closest
-                    # after the bank's last grant wins (distinct keys, so
-                    # the minimum is unique and order-independent).
-                    last = last_grant[bank]
-                    port = min(
-                        (batch_ports[i] for i in entry),
-                        key=lambda p, _last=last: (p - _last - 1) % num_ports,
-                    )
-                    self._c_conflicts.value += len(entry) - 1
-                last_grant[bank] = port
-                granted.append(port)
+            banks = [word % num_banks for word in words]
+            if len(banks) == len(set(banks)):
+                # Distinct banks: every claimant wins its bank uncontested.
+                for bank, port in zip(banks, ports):
+                    last_grant[bank] = port
+            else:
+                ports = self._arbitrate(ports, banks)
         # Grant phase: pop each winner's request and start the bank access.
-        # Per-port state is independent, so grant order across banks cannot
-        # affect simulated behaviour.  The request object doubles as its own
-        # response in both policies (it already carries the port, routing
-        # tag and is_write flag; FULL reads deposit their word into its
-        # ``data`` field), and single-word storage accesses go straight
-        # through a cached writable view of the memory image — the same
-        # bytes `storage.read_bytes`/`storage.write` would touch, minus the
+        # Per-port state is independent, so grant order cannot affect
+        # simulated behaviour.  Single-word storage accesses go straight
+        # through a cached writable view of the memory image — the same bytes
+        # `storage.read_bytes`/`storage.write` would touch, minus the
         # per-call layers.
         elide = self._elide
-        latency = config.latency
         word_bytes = config.word_bytes
         num_words = self._num_words
         fault_plan = self._fault_plan
         name = self.name
         view = self._mem_view
+        depth = config.request_queue_depth
         writes = 0
-        lost = 0
-        ready = cycle + latency
-        for port in granted:
-            # Inlined DecoupledQueue.pop (one grant per port per cycle).
-            queue = request_queues[port]
-            queue.total_popped += 1
-            queue._count -= 1
-            engine = queue._engine
-            if engine is not None:
-                engine._activity += 1
-                if not queue._touched:
-                    queue._touched = True
-                    engine._touched_queues.append(queue)
-            request = queue._storage.popleft()
+        ready = cycle + config.latency
+        next_ready = self.next_ready
+        for port in ports:
+            fifo = requests[port]
+            if len(fifo) == depth:
+                self.full_ports -= 1
+            request = fifo.popleft()
             # Word-granular range check in *both* policies (two integer
             # compares): a bad address completes with SLVERR in-band and
             # never touches the storage, so FULL and ELIDE stay bit-equal
@@ -315,7 +311,6 @@ class BankedMemory(Component):
                 if fault is not None:
                     kind = fault.kind
                     if kind == "lost":
-                        lost += 1
                         if request.is_write:
                             writes += 1
                         continue  # the response simply never comes back
@@ -344,41 +339,68 @@ class BankedMemory(Component):
                 elif serve:
                     byte_addr = request.word_addr * word_bytes
                     request.data = view[byte_addr : byte_addr + word_bytes].tobytes()
-            all_in_flight[port].append((port_ready, request))
-        self._flight_count += len(granted) - lost
-        self._c_accesses.value += len(granted)
+            in_flight = all_in_flight[port]
+            if not in_flight and port_ready < next_ready:
+                next_ready = port_ready
+            in_flight.append((port_ready, request))
+        self.next_ready = next_ready
+        granted = len(ports)
+        self.queued -= granted
+        self._c_accesses.value += granted
         self._c_writes.value += writes
-        self._c_reads.value += len(granted) - writes
+        self._c_reads.value += granted - writes
+        return granted
 
-    def _perform_access(self, request: WordRequest, word_bytes: int) -> WordResponse:
-        """Single word access against the backing storage (reference path).
-
-        The grant loop above inlines this logic; this method is kept for
-        unit tests and subclasses that exercise one access at a time.
-        """
-        byte_addr = request.word_addr * word_bytes
-        if request.is_write:
-            if request.data is None:
-                raise ConfigurationError("write word request without data")
-            self.storage.write(byte_addr, request.data)
-            return WordResponse(port=request.port, tag=request.tag, is_write=True)
-        data = self.storage.read_bytes(byte_addr, word_bytes)
-        return WordResponse(port=request.port, tag=request.tag, data=data)
+    def _arbitrate(self, ports: List[int], banks: List[int]) -> List[int]:
+        """Round-robin winners of a cycle in which some banks are contested."""
+        claims: dict = {}
+        for index, bank in enumerate(banks):
+            claims.setdefault(bank, []).append(ports[index])
+        last_grant = self._bank_last_grant
+        num_ports = self.config.num_ports
+        granted = []
+        # Bank keys are unique and per-port state is independent, so any
+        # grant order is behaviour-identical — but walk banks in sorted
+        # order so the walk is deterministic by construction, not by
+        # insertion-order accident.
+        for bank, claimants in sorted(claims.items()):
+            if len(claimants) == 1:
+                port = claimants[0]
+            else:
+                # The claimant round-robin-closest after the bank's last
+                # grant wins (distinct keys, so the minimum is unique).
+                last = last_grant[bank]
+                port = min(
+                    claimants,
+                    key=lambda p, _last=last: (p - _last - 1) % num_ports,
+                )
+                self._c_conflicts.value += len(claimants) - 1
+            last_grant[bank] = port
+            granted.append(port)
+        return granted
 
     # ------------------------------------------------------------------ state
+    def fifos(self) -> List[WordFifo]:
+        """Every word FIFO, request side first (for hang diagnosis)."""
+        return [*self.request_fifos, *self.response_fifos]
+
     def busy(self) -> bool:
-        if self._flight_count:
-            return True
-        if any(not queue.is_empty() for queue in self.request_queues):
-            return True
-        return any(not queue.is_empty() for queue in self.response_queues)
+        """True while any word is issued, queued, in flight or unrouted."""
+        return bool(
+            self.issued or self.queued or self.waiting
+            or any(self._in_flight)
+        )
 
     def reset(self) -> None:
         for flight in self._in_flight:
             flight.clear()
-        self._flight_count = 0
-        for queue in self.request_queues:
-            queue.clear()
-        for queue in self.response_queues:
-            queue.clear()
+        for items in self._requests:
+            items.clear()
+        for items in self._responses:
+            items.clear()
+        del self.issued[:]
+        self.queued = 0
+        self.full_ports = 0
+        self.waiting = 0
+        self.next_ready = IDLE
         self._bank_last_grant = [self.config.num_ports - 1] * self.config.num_banks

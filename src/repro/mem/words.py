@@ -119,32 +119,3 @@ class WordRequest:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "write" if self.is_write else "read"
         return f"WordRequest({kind} port={self.port} word={self.word_addr:#x})"
-
-
-class WordResponse:
-    """Response to a :class:`WordRequest` after the bank access completes.
-
-    ``data`` carries the word payload for reads (``bytes``), None for write
-    acknowledgements.  ``resp`` reports the access outcome (OKAY unless
-    the word faulted).
-    """
-
-    __slots__ = ("port", "tag", "data", "is_write", "resp")
-
-    def __init__(
-        self,
-        port: int,
-        tag: object,
-        data: Optional[object] = None,
-        is_write: bool = False,
-        resp: Optional[object] = None,
-    ) -> None:
-        self.port = port
-        self.tag = tag
-        self.data = data
-        self.is_write = is_write
-        self.resp = _RESP_OKAY if resp is None else resp
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "write" if self.is_write else "read"
-        return f"WordResponse({kind} port={self.port})"

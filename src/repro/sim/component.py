@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Iterable, Optional, Union
+from typing import Any, Iterable, Optional, Union
 
 #: Wake hint meaning "sleep until poked by queue activity".
 IDLE: float = math.inf
@@ -58,6 +58,9 @@ class Component(abc.ABC):
 
     #: Slot index assigned by the owning engine (set at registration).
     _engine_slot: int = -1
+    #: The owning engine (set at registration).  A component that keeps
+    #: private FIFOs adds their pushes and pops to its activity counter.
+    _engine: Any = None
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -81,6 +84,18 @@ class Component(abc.ABC):
         is re-woken when an item arrives or when back-pressure clears.
         The default returns nothing, which is always safe for legacy
         components (hint ``None`` keeps them ticked every cycle).
+        """
+        return ()
+
+    def private_queues(self) -> Iterable:
+        """FIFOs the component keeps to itself, outside the engine.
+
+        Each item has a ``name``, an ``occupancy``, a ``depth`` and an
+        ``is_empty()`` method.  Such a FIFO wakes nobody: the component
+        must cover its own pushes and pops with its wake hint.  The engine
+        only lists the non-empty ones in
+        :meth:`~repro.sim.engine.Engine.diagnose`.  The default returns
+        nothing.
         """
         return ()
 

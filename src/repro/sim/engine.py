@@ -56,8 +56,8 @@ class QueueState:
     name: str
     occupancy: int
     depth: int
-    #: components subscribed to (i.e. woken by) this queue — the candidates
-    #: that should have drained it
+    #: components subscribed to (i.e. woken by) this queue, or the owner of
+    #: a component-private FIFO — the candidates that should have drained it
     waiters: Tuple[str, ...]
 
     def describe(self) -> str:
@@ -152,6 +152,7 @@ class Engine:
     def add_component(self, component: Component) -> Component:
         """Register a component; it is due immediately and then follows hints."""
         component._engine_slot = len(self._components)
+        component._engine = self
         self._components.append(component)
         self._wakes.append(self.cycle)
         for queue in component.wake_queues():
@@ -366,8 +367,15 @@ class Engine:
 
     # ----------------------------------------------------------------- helpers
     def _activity_totals(self) -> int:
-        """Seed-style activity scan (kept for the naive compatibility mode)."""
-        return sum(q.total_pushed + q.total_popped for q in self._queues)
+        """Seed-style activity scan (kept for the naive compatibility mode).
+
+        Pushes and pops on component-private FIFOs reach only the O(1)
+        counter, so it is added in: the sum changes exactly when some queue
+        or private FIFO moved an item.
+        """
+        return self._activity + sum(
+            q.total_pushed + q.total_popped for q in self._queues
+        )
 
     def _all_idle(self) -> bool:
         if any(component.busy() for component in self._components):
@@ -385,6 +393,14 @@ class Engine:
         """
         busy = tuple(c.name for c in self._components if c.busy())
         queues = tuple(
+            QueueState(
+                name=q.name, occupancy=q.occupancy, depth=q.depth,
+                waiters=(c.name,),
+            )
+            for c in self._components
+            for q in c.private_queues()
+            if not q.is_empty()
+        ) + tuple(
             QueueState(
                 name=q.name, occupancy=q.occupancy, depth=q.depth,
                 waiters=tuple(w.name for w in q._waiters),

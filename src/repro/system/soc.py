@@ -239,8 +239,6 @@ class Soc:
             stats.reset()
         for endpoint in self.endpoints:
             endpoint.reset()
-        for memory in self.memories:
-            memory.reset()
         if self.mux is not None:
             self.mux.reset()
         for demux in self.demuxes:
@@ -340,9 +338,10 @@ class Soc:
         # files against the functional oracle after the run completes).
         self.last_engines: List[VectorEngine] = vectors
         # Registration wires the wake machinery: each component subscribes to
-        # the queues named by its ``wake_queues`` (the AXI port channels, the
-        # banked memories' request/response queues), and registered queues
-        # act as the engine's dirty/wake lists.
+        # the queues named by its ``wake_queues`` (the AXI port channels), and
+        # registered queues act as the engine's dirty/wake lists.  A banked
+        # memory is its adapter's bank stage, not a component: its word FIFOs
+        # stay private to the adapter.
         for vector in vectors:
             engine.add_component(vector)
         if self.mux is not None:
@@ -353,10 +352,6 @@ class Soc:
             engine.add_component(mux)
         for endpoint in self.endpoints:
             engine.add_component(endpoint)
-        for memory in self.memories:
-            engine.add_component(memory)
-            for queue in memory.all_queues():
-                engine.add_queue(queue)
         for port in self.ports:
             for queue in port.all_queues():
                 engine.add_queue(queue)

@@ -281,6 +281,11 @@ class VectorEngine(Component):
         self._latest_completion = 0
         self._active_loads: List[_MemOpState] = []
         self._active_stores: List[_MemOpState] = []
+        #: index of the memory op whose last dispatch attempt failed on a
+        #: fence or the outstanding-op limit (-1: none).  Only removing an
+        #: active load or store can unblock it, so dispatch skips its checks
+        #: until one is removed.
+        self._blocked_op = -1
         #: AR/AW requests dispatched but not yet pushed onto the port —
         #: gates the per-tick scan over the active memory ops
         self._unissued_requests = 0
@@ -411,12 +416,15 @@ class VectorEngine(Component):
             return IDLE
         if cycle < self._stall_until:
             return self._stall_until
+        if next_op == self._blocked_op:
+            return IDLE
         op = self._ops[next_op]
         kind = op.KIND
         if kind == KIND_LOAD:
             if not self._load_deps_ready(op, cycle):
                 return IDLE
             if not self._try_dispatch_memory(op, cycle):
+                self._blocked_op = next_op
                 return IDLE
             self._stall_until = cycle + self.config.issue_cycles
             self._next_op = next_op + 1
@@ -443,6 +451,7 @@ class VectorEngine(Component):
             return self._after_dispatch_hint()
         if kind == KIND_STORE:
             if not self._try_dispatch_memory(op, cycle):
+                self._blocked_op = next_op
                 return IDLE
             self._stall_until = cycle + self.config.issue_cycles
             self._next_op = next_op + 1
@@ -691,6 +700,7 @@ class VectorEngine(Component):
                 self.regfile.write_vector(op.dest, values.copy())
         self._mark_done(op.op_id, cycle + self.config.memory_latency_slack)
         self._active_loads.remove(state)
+        self._blocked_op = -1
         self._forget(state)
 
     def _oracle_payload(self, state: _MemOpState) -> np.ndarray:
@@ -723,6 +733,7 @@ class VectorEngine(Component):
         if state.complete:
             self._mark_done(state.op.op_id, cycle + 1)
             self._active_stores.remove(state)
+            self._blocked_op = -1
             self._forget(state)
 
     def _forget(self, state: _MemOpState) -> None:
@@ -816,6 +827,7 @@ class VectorEngine(Component):
                 entry for entry in self._w_backlog if entry[0].txn_id not in txns
             )
         (self._active_loads if state.is_load else self._active_stores).remove(state)
+        self._blocked_op = -1
         self._forget(state)
         self._mark_done(op.op_id, cycle)
 

@@ -129,21 +129,19 @@ class TestErrorBehaviourParity:
 
     @pytest.mark.parametrize("policy", [DataPolicy.FULL, DataPolicy.ELIDE],
                              ids=lambda p: p.value)
-    def test_deadlock_detection_cycle(self, policy):
+    def test_deadlock_detection_cycle(self, policy, bank_stage):
         """An undrained memory deadlocks at the same cycle under both policies."""
         storage = MemoryStorage(1 << 16)
         config = BankedMemoryConfig(num_ports=2, num_banks=3,
                                     response_queue_depth=1)
         memory = BankedMemory("mem", config, storage, data_policy=policy)
         engine = Engine(deadlock_window=50)
-        engine.add_component(memory)
-        for queue in memory.all_queues():
-            engine.add_queue(queue)
         data = None if policy.elides_data else b"\x01\x02\x03\x04"
-        for i in range(2):
-            memory.request_queues[0].push(
-                WordRequest(port=0, word_addr=i, is_write=True, data=data)
-            )
+        requests = [
+            WordRequest(port=0, word_addr=i, is_write=True, data=data)
+            for i in range(2)
+        ]
+        engine.add_component(bank_stage(memory, requests, route=False))
         with pytest.raises(DeadlockError):
             # Nobody pops the response queue: progress stops once responses
             # back up, at a cycle independent of the data policy.
@@ -193,6 +191,7 @@ class TestVectorizedArbitration:
                                     conflict_free=conflict_free)
         memory = BankedMemory("mem", config, storage,
                               data_policy=DataPolicy.ELIDE)
+        distinct_trials = contended_trials = 0
         for trial in range(200):
             memory.reset()
             # Randomize the round-robin history.
@@ -205,12 +204,20 @@ class TestVectorizedArbitration:
             ports = sorted(rng.choice(config.num_ports, size=num_claimants,
                                       replace=False).tolist())
             words = [int(rng.integers(0, 64)) for _ in ports]
+            banks = [word % config.num_banks for word in words]
+            if len(set(banks)) == len(banks):
+                distinct_trials += 1
+            else:
+                contended_trials += 1
+            # Issue every head at cycle 2*trial; the bank stage arbitrates
+            # them one cycle later.
             for port, word in zip(ports, words):
-                queue = memory.request_queues[port]
-                queue.push(WordRequest(port=port, word_addr=word, is_write=False))
-                queue.commit()
+                memory.issued.append(
+                    WordRequest(port=port, word_addr=word, is_write=False)
+                )
+            memory.tick(2 * trial)
             before_conflicts = memory.stats.get("mem.bank_conflicts")
-            memory._accept_requests(cycle=trial)
+            memory.tick(2 * trial + 1)
             granted = sorted(
                 port for port, flight in enumerate(memory._in_flight) if flight
             )
@@ -223,6 +230,8 @@ class TestVectorizedArbitration:
             if not conflict_free:
                 assert conflicts == expected_conflicts
                 assert memory._bank_last_grant == last_copy
+        # Both arbitration branches (all banks distinct, some contended) ran.
+        assert distinct_trials > 20 and contended_trials > 20
 
     def test_elide_reuses_request_as_response(self):
         """The timing-only bank path never allocates responses or data."""
@@ -232,10 +241,10 @@ class TestVectorizedArbitration:
             data_policy=DataPolicy.ELIDE,
         )
         request = WordRequest(port=0, word_addr=5, is_write=False, tag="t")
-        memory.request_queues[0].push(request)
-        memory.request_queues[0].commit()
-        memory._accept_requests(cycle=0)
-        ready, response = memory._in_flight[0][0]
+        memory.issued.append(request)
+        for cycle in range(3):  # issue, grant, deliver
+            memory.tick(cycle)
+        response = memory.response_fifos[0].items[0]
         assert response is request
         assert response.data is None
         # Storage untouched: still all zeros.

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.axi.types import Resp
 from repro.errors import ConfigurationError
-from repro.mem.words import BankAddressMap, WordRequest, WordResponse
+from repro.mem.words import BankAddressMap, WordRequest
 
 
 class TestBankAddressMap:
@@ -55,6 +56,10 @@ class TestWordRecords:
         assert request.data is None
         assert request.tag is None
 
-    def test_response_carries_tag(self):
-        response = WordResponse(port=1, tag=("x", 3), data=None, is_write=True)
-        assert response.tag == ("x", 3)
+    def test_request_doubles_as_its_response(self):
+        # The bank stage answers with the request object itself: the routing
+        # tag survives and resp starts OKAY until a fault or range check
+        # overwrites it.
+        request = WordRequest(port=1, word_addr=7, is_write=True, tag=("x", 3))
+        assert request.tag == ("x", 3)
+        assert request.resp is Resp.OKAY

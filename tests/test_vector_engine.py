@@ -181,6 +181,39 @@ class TestTimingBehaviour:
         _, unfenced, _ = run_program(SystemKind.PACK, build_unfenced, init)
         assert fenced > unfenced
 
+    @pytest.mark.parametrize("ordered", [False, True], ids=["limit", "fence"])
+    def test_blocked_memory_op_is_retried_only_after_a_completion(
+        self, monkeypatch, ordered
+    ):
+        """A memory op held by the outstanding-load limit or a fence is not
+        re-checked on every tick: only an op leaving the active set can
+        unblock it, so each blocked op fails its dispatch attempt once."""
+        from repro.vector.engine import VectorEngine
+
+        attempts = {"failed": 0, "dispatched": 0}
+        original = VectorEngine._try_dispatch_memory
+
+        def counting(self, op, cycle):
+            dispatched = original(self, op, cycle)
+            attempts["dispatched" if dispatched else "failed"] += 1
+            return dispatched
+
+        monkeypatch.setattr(VectorEngine, "_try_dispatch_memory", counting)
+
+        def build(builder):
+            for index in range(8):
+                builder.vlse32(f"v{index + 1}", 0x1000 * index, 64, stride_elems=3)
+            if ordered:
+                builder.vse32("v1", 0x9000, 64, ordered=True)
+
+        config = SystemConfig(memory_bytes=1 << 20, memory_latency=100)
+        run_program(SystemKind.PACK, build, config=config)
+        limit = config.vector_config().max_outstanding_loads
+        assert attempts["dispatched"] == 8 + ordered
+        # Loads 3..8 each wait once for the limit; the fenced store waits
+        # once per load still active when it reaches the head.
+        assert attempts["failed"] <= 8 - limit + ordered * limit
+
     def test_scalar_work_costs_cycles(self):
         def init(storage):
             storage.write_array(0, np.zeros(64, dtype=np.float32))
