@@ -17,7 +17,7 @@ from repro.axi.types import (
     Resp,
 )
 from repro.axi.pack import PackMode, PackUserField, PackUserLayout
-from repro.axi.signals import ARBeat, AWBeat, BBeat, RBeat, WBeat
+from repro.axi.signals import BBeat, RBeat, WBeat
 from repro.axi.stream import (
     ContiguousStream,
     IndirectStream,
@@ -37,8 +37,6 @@ __all__ = [
     "PackMode",
     "PackUserField",
     "PackUserLayout",
-    "ARBeat",
-    "AWBeat",
     "RBeat",
     "WBeat",
     "BBeat",

@@ -181,20 +181,6 @@ class RequestBuilder:
         addresses = stream.element_addresses(indices)
         return self.narrow_elements(addresses, stream.elem_bytes, is_write)
 
-    def index_fetch(self, stream: IndirectStream, is_write: bool = False) -> List[BusRequest]:
-        """Contiguous burst(s) reading the index array into the core.
-
-        Used by BASE and IDEAL, which must move indices over the bus before
-        they can issue the element accesses; PACK never needs this because
-        the controller fetches indices bank-side.
-        """
-        index_stream = ContiguousStream(
-            base=stream.index_base,
-            num_elements=stream.num_elements,
-            elem_bytes=stream.index_bytes,
-        )
-        return self.contiguous(index_stream, is_write)
-
     # ------------------------------------------------------------ PACK paths
     def pack_strided(self, stream: StridedStream, is_write: bool) -> List[BusRequest]:
         """PACK lowering of a strided stream to AXI-Pack strided bursts."""

@@ -80,25 +80,6 @@ class ChannelMonitor:
             return 0.0
         return self.beats / elapsed_cycles
 
-    def packing_efficiency(self) -> float:
-        """Average fraction of each occupied beat that carried useful payload."""
-        if self.beats == 0:
-            return 0.0
-        return self.useful_bytes / (self.beats * self.bus_bytes)
-
-    def merge(self, other: "ChannelMonitor") -> None:
-        """Accumulate another monitor's counts into this one."""
-        self.beats += other.beats
-        self.useful_bytes += other.useful_bytes
-        for kind, count in other.payload_beats_by_kind.items():
-            self.payload_beats_by_kind[kind] = (
-                self.payload_beats_by_kind.get(kind, 0) + count
-            )
-        for kind, count in other.useful_bytes_by_kind.items():
-            self.useful_bytes_by_kind[kind] = (
-                self.useful_bytes_by_kind.get(kind, 0) + count
-            )
-
     def reset(self) -> None:
         """Zero all counters."""
         self.beats = 0

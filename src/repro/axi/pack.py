@@ -67,16 +67,6 @@ class PackUserLayout:
         if self.stride_bits < 1 or self.offset_bits < 1:
             raise ConfigurationError("user-field sub-field widths must be positive")
 
-    @property
-    def payload_bits(self) -> int:
-        """Width of the shared payload region (stride or idx size + offset)."""
-        return max(self.stride_bits, 2 + self.offset_bits)
-
-    @property
-    def total_bits(self) -> int:
-        """Total AR/AW user signal width required by AXI-Pack."""
-        return 2 + self.payload_bits
-
 
 DEFAULT_LAYOUT = PackUserLayout()
 

@@ -52,6 +52,3 @@ class AxiPort:
         """Every channel queue (for engine registration)."""
         return [self.ar, self.aw, self.w, self.r, self.b]
 
-    def is_idle(self) -> bool:
-        """True when no channel holds any beat."""
-        return all(queue.is_empty() for queue in self.all_queues())

@@ -1,4 +1,4 @@
-"""Per-beat channel records for the five AXI channels.
+"""Per-beat records for the AXI data and response channels (R, W, B).
 
 These records are what flows through :class:`~repro.sim.queue.DecoupledQueue`
 instances in the cycle-level simulator.  They carry only the fields the
@@ -13,39 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.axi.types import BurstType, Resp
-
-
-@dataclass
-class ARBeat:
-    """One AR-channel handshake: a read request."""
-
-    txn_id: int
-    addr: int
-    num_beats: int
-    beat_bytes: int
-    burst: BurstType = BurstType.INCR
-    user: int = 0
-
-    def __post_init__(self) -> None:
-        if self.num_beats < 1:
-            raise ValueError("ARBeat num_beats must be >= 1")
-
-
-@dataclass
-class AWBeat:
-    """One AW-channel handshake: a write request."""
-
-    txn_id: int
-    addr: int
-    num_beats: int
-    beat_bytes: int
-    burst: BurstType = BurstType.INCR
-    user: int = 0
-
-    def __post_init__(self) -> None:
-        if self.num_beats < 1:
-            raise ValueError("AWBeat num_beats must be >= 1")
+from repro.axi.types import Resp
 
 
 @dataclass

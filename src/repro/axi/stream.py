@@ -125,11 +125,6 @@ class IndirectStream:
         """Total element payload carried by the stream (indices excluded)."""
         return self.num_elements * self.elem_bytes
 
-    @property
-    def index_bytes_total(self) -> int:
-        """Total size of the index array consumed by the stream."""
-        return self.num_elements * self.index_bytes
-
     def element_addresses(self, indices: np.ndarray) -> np.ndarray:
         """Byte address of every element given the index values.
 
@@ -144,13 +139,6 @@ class IndirectStream:
             )
         scale = self.elem_bytes if self.scaled else 1
         return self.base + indices.astype(np.int64) * scale
-
-    def index_addresses(self) -> np.ndarray:
-        """Byte address of every index in the in-memory index array."""
-        return (
-            self.index_base
-            + np.arange(self.num_elements, dtype=np.int64) * self.index_bytes
-        )
 
 
 #: Any of the three stream shapes.

@@ -1,10 +1,9 @@
 """Burst-level request descriptor shared by requestors and endpoints.
 
 A :class:`BusRequest` is the model-level view of one AR or AW handshake plus
-everything the endpoint needs to serve it.  It corresponds one-to-one to an
-:class:`~repro.axi.signals.ARBeat`/:class:`~repro.axi.signals.AWBeat` (the
-conversion helpers are provided) but keeps decoded fields around so the
-simulator does not have to re-parse user bits on every beat.
+everything the endpoint needs to serve it.  It carries the decoded AR/AW
+fields (the AXI-Pack ``user`` bits as a :class:`~repro.axi.pack.PackUserField`)
+so the simulator does not have to re-parse user bits on every beat.
 
 Three flavours of request exist:
 
@@ -32,7 +31,6 @@ from repro.axi.pack import (
     PackUserField,
     PackUserLayout,
 )
-from repro.axi.signals import ARBeat, AWBeat
 from repro.axi.types import (
     BurstType,
     check_burst_len_legal,
@@ -225,28 +223,6 @@ class BusRequest:
                 )
         else:
             check_burst_len_legal(self.num_beats)
-
-    # ------------------------------------------------------------ conversion
-    def to_channel_beat(self, layout: PackUserLayout = DEFAULT_LAYOUT):
-        """Lower the request to the corresponding AR or AW channel record."""
-        user = self.pack.encode(layout)
-        if self.is_write:
-            return AWBeat(
-                txn_id=self.txn_id,
-                addr=self.addr,
-                num_beats=self.num_beats,
-                beat_bytes=self.beat_bytes,
-                burst=self.burst,
-                user=user,
-            )
-        return ARBeat(
-            txn_id=self.txn_id,
-            addr=self.addr,
-            num_beats=self.num_beats,
-            beat_bytes=self.beat_bytes,
-            burst=self.burst,
-            user=user,
-        )
 
     # ------------------------------------------------------------- describe
     def describe(self) -> str:

@@ -23,11 +23,6 @@ class BurstType(enum.Enum):
     INCR = 1
     WRAP = 2
 
-    @property
-    def encoding(self) -> int:
-        """Return the 2-bit AxBURST wire encoding."""
-        return self.value
-
 
 class Resp(enum.Enum):
     """AXI4 response codes carried on R and B channels.
@@ -42,11 +37,6 @@ class Resp(enum.Enum):
     EXOKAY = 1
     SLVERR = 2
     DECERR = 3
-
-    @property
-    def is_error(self) -> bool:
-        """True for the two error responses (SLVERR, DECERR)."""
-        return self.value >= Resp.SLVERR.value
 
 
 def worst_resp(a: Resp, b: Resp) -> Resp:

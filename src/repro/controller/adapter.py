@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Iterable, List, Optional, Set, Tuple
 
-from repro.axi.monitor import ChannelMonitor
 from repro.axi.port import AxiPort
 from repro.axi.transaction import BusRequest
 from repro.axi.types import Resp
@@ -84,8 +83,6 @@ class AxiPackAdapter(Component):
             storage=memory.storage, datapath=datapath,
         )
         self.datapath = self.ctx.datapath
-        self.r_monitor = ChannelMonitor("R", self.config.bus_bytes)
-        self.w_monitor = ChannelMonitor("W", self.config.bus_bytes)
 
         self.base = BaseAxi4Converter(f"{name}.base", self.ctx)
         self.strided_read = StridedReadConverter(f"{name}.strided_read", self.ctx)
@@ -115,9 +112,9 @@ class AxiPackAdapter(Component):
         # themselves (see Converter.unissued_deques/r_beat_deques/
         # b_beat_deques) so they can never desynchronize from the converter
         # list.  Reading the deques' truth values directly is behaviourally
-        # identical to the has_unissued()/busy()/pop_ready_*() scans (a pop
-        # attempt with nothing ready is a side-effect-free None) but avoids
-        # two method calls per converter per cycle.
+        # identical to busy()/pop_ready_*() scans (a pop attempt with nothing
+        # ready is a side-effect-free None) but avoids two method calls per
+        # converter per cycle.
         #: unissued-slot deques, in self.converters order
         self._conv_unissued: List[Tuple] = [
             converter.unissued_deques() for converter in self.converters
@@ -301,7 +298,6 @@ class AxiPackAdapter(Component):
         converter, beats_left = self._w_routing[0]
         beat = self._w.pop()
         converter.take_w_beat(beat.data)
-        self.w_monitor.record_beat(beat.useful_bytes)
         self._c_w_beats.value += 1
         if beats_left - 1 == 0:
             self._w_routing.popleft()
@@ -382,10 +378,8 @@ class AxiPackAdapter(Component):
             beat = emitter[0]()
             if beat is not None:
                 r.push(beat)
-                useful = beat.useful_bytes
-                self.r_monitor.record_beat(useful)
                 self._c_r_beats.value += 1
-                self._c_r_useful.value += useful
+                self._c_r_useful.value += beat.useful_bytes
                 self._emit_rr = (rr + 1) % count
                 if beat.last:
                     self._open_read_bursts -= 1
@@ -420,9 +414,6 @@ class AxiPackAdapter(Component):
         for converter in self.converters:
             converter.reset()
         self._w_routing.clear()
-        self.ctx.reset()
-        self.r_monitor.reset()
-        self.w_monitor.reset()
         self._issue_rr = 0
         self._emit_rr = 0
         self._last_tick = None

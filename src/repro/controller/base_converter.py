@@ -96,9 +96,6 @@ class BaseAxi4Converter(Converter):
         self._reads.issue(free_ports, out)
         self._writes.issue(free_ports, out)
 
-    def has_unissued(self) -> bool:
-        return bool(self._reads._unissued) or bool(self._writes._unissued)
-
     def unissued_deques(self):
         return (self._reads._unissued, self._writes._unissued)
 

@@ -56,14 +56,9 @@ class AdapterConfig:
 
 
 class AdapterContext:
-    """Mutable state shared between the adapter and its converters.
+    """Configuration and handles shared between the adapter and its converters.
 
-    The context tracks, per word lane, how many word accesses are currently
-    in flight.  This is the *request regulator* of Fig. 2c: it prevents the
-    decoupling queues from overflowing by refusing to issue more requests
-    than the queues can absorb.
-
-    It also carries the adapter-wide :class:`~repro.sim.policy.DataPolicy`
+    The context carries the adapter-wide :class:`~repro.sim.policy.DataPolicy`
     and, under ``ELIDE``, a handle to the backing storage so the indirect
     converters can resolve index values functionally (address-forming data
     still determines timing) while all payload movement is skipped.
@@ -88,29 +83,3 @@ class AdapterContext:
         self.data_policy = data_policy
         self.storage = storage
         self.datapath = resolve_datapath_mode(datapath)
-        self._in_flight = [0] * config.bus_words
-
-    # ----------------------------------------------------------- regulation
-    def can_issue(self, port: int) -> bool:
-        """True if the regulator allows another word access on ``port``."""
-        return self._in_flight[port] < self.config.queue_depth
-
-    def note_issue(self, port: int) -> None:
-        """Record that a word access was issued on ``port``."""
-        self._in_flight[port] += 1
-
-    def note_retire(self, port: int) -> None:
-        """Record that a word access on ``port`` completed."""
-        if self._in_flight[port] <= 0:
-            raise ConfigurationError(
-                f"request regulator underflow on port {port}"
-            )
-        self._in_flight[port] -= 1
-
-    def in_flight(self, port: int) -> int:
-        """Number of word accesses currently in flight on ``port``."""
-        return self._in_flight[port]
-
-    def reset(self) -> None:
-        """Clear all in-flight counters."""
-        self._in_flight = [0] * self.config.bus_words

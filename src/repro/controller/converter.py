@@ -54,15 +54,6 @@ class Converter(abc.ABC):
     def issue(self, free_ports: Set[int], out: List[WordRequest]) -> None:
         """Issue word accesses this cycle using only the given free ports."""
 
-    def has_unissued(self) -> bool:
-        """True if the converter holds planned word accesses not yet issued.
-
-        The adapter uses this O(1) check to skip the issue scan on cycles
-        where no converter has anything to send to the banks.  The default is
-        conservative (True); converters override it with the exact check.
-        """
-        return True
-
     # --------------------------------------------------- adapter fast tables
     #
     # The adapter prebinds per-converter container tuples at construction so
@@ -72,7 +63,12 @@ class Converter(abc.ABC):
     # reset, never reassigned).
 
     def unissued_deques(self) -> Tuple:
-        """Stable containers that are non-empty iff :meth:`has_unissued`."""
+        """Stable containers that are non-empty iff the converter holds
+        planned word accesses not yet issued.
+
+        The adapter reads their truth values to skip the issue scan on
+        cycles where no converter has anything to send to the banks.
+        """
         raise NotImplementedError(f"{self.name} does not expose issue state")
 
     def r_beat_deques(self) -> Optional[Tuple]:

@@ -326,9 +326,6 @@ class IndirectReadConverter(Converter):
         self._element_pipe.issue(free_ports, out)
         self._index_pipe.issue(free_ports, out)
 
-    def has_unissued(self) -> bool:
-        return bool(self._element_pipe._unissued) or bool(self._index_pipe._unissued)
-
     def unissued_deques(self):
         return (self._element_pipe._unissued, self._index_pipe._unissued)
 

@@ -260,9 +260,6 @@ class IndirectWriteConverter(Converter):
         self._write_pipe.issue(free_ports, out)
         self._index_pipe.issue(free_ports, out)
 
-    def has_unissued(self) -> bool:
-        return bool(self._write_pipe._unissued) or bool(self._index_pipe._unissued)
-
     def unissued_deques(self):
         return (self._write_pipe._unissued, self._index_pipe._unissued)
 

@@ -569,10 +569,6 @@ class LaneReadPipe:
                 i += 1
             unissued.popleft()
 
-    def has_unissued(self) -> bool:
-        """True if any planned word read has not been issued yet (O(1))."""
-        return bool(self._unissued)
-
     # ------------------------------------------------------------- responses
     def take_response(self, batch: SlotBatch, i: int, data: bytes) -> None:
         """Deliver one returned word to its beat (hot path)."""
@@ -722,10 +718,6 @@ class LaneWritePipe:
             self._burst_batches[id(burst)] = batch
         return burst
 
-    def expecting_w_data(self) -> bool:
-        """True if some accepted burst still waits for W beats."""
-        return any(not burst.all_w_received for burst in self._bursts)
-
     def take_w_beat(self, payload: bytes) -> Optional[_ActiveWriteBurst]:
         """Deliver one W data beat to the oldest burst still expecting data."""
         for burst in self._bursts:
@@ -822,10 +814,6 @@ class LaneWritePipe:
                 acks[beat] += 1
                 i += 1
             unissued.popleft()
-
-    def has_unissued(self) -> bool:
-        """True if any planned word write has not been issued yet (O(1))."""
-        return bool(self._unissued)
 
     # ------------------------------------------------------------- responses
     def take_ack(self, batch: SlotBatch, i: int) -> None:

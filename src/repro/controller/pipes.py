@@ -130,10 +130,6 @@ class ReadPipe:
                 next_slot += 1
             unissued.popleft()
 
-    def has_unissued(self) -> bool:
-        """True if any planned word read has not been issued yet (O(1))."""
-        return bool(self._unissued)
-
     # ------------------------------------------------------------- responses
     def take_response(self, state: ReadBeatState, slot: WordSlot, data: bytes) -> None:
         """Deliver one returned word to its beat."""
@@ -268,10 +264,6 @@ class WritePipe:
         self._bursts.append(burst)
         return burst
 
-    def expecting_w_data(self) -> bool:
-        """True if some accepted burst still waits for W beats."""
-        return any(not burst.all_w_received for burst in self._bursts)
-
     def take_w_beat(self, payload: bytes) -> Optional[_ActiveWriteBurst]:
         """Deliver one W data beat to the oldest burst still expecting data.
 
@@ -339,10 +331,6 @@ class WritePipe:
                 state.next_slot += 1
                 state.acks_pending += 1
             unissued.popleft()
-
-    def has_unissued(self) -> bool:
-        """True if any planned word write has not been issued yet (O(1))."""
-        return bool(self._unissued)
 
     def _word_write_data(self, state: WriteBeatState, slot: WordSlot):
         """Full word of write data for one slot (partial words are rejected)."""

@@ -10,44 +10,20 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.errors import SimulationError
 from repro.utils.validation import check_positive
 
 
 class RequestRegulator:
-    """Counts in-flight word accesses per word lane and enforces a limit."""
+    """In-flight word accesses per word lane and their limit.
+
+    The read and write pipes check and update the counts inline on their
+    issue and response paths (``_in_flight[port] < limit`` to issue).
+    """
 
     def __init__(self, num_ports: int, limit: int) -> None:
         self.num_ports = check_positive("num_ports", num_ports)
         self.limit = check_positive("regulator limit", limit)
         self._in_flight: List[int] = [0] * num_ports
-
-    def can_issue(self, port: int) -> bool:
-        """True if another access may be issued on ``port`` this cycle."""
-        return self._in_flight[port] < self.limit
-
-    def note_issue(self, port: int) -> None:
-        """Record an issued word access."""
-        if self._in_flight[port] >= self.limit:
-            raise SimulationError(
-                f"regulator limit exceeded on port {port}: converter issued "
-                "more requests than its decoupling queue can hold"
-            )
-        self._in_flight[port] += 1
-
-    def note_retire(self, port: int) -> None:
-        """Record a completed word access."""
-        if self._in_flight[port] <= 0:
-            raise SimulationError(f"regulator underflow on port {port}")
-        self._in_flight[port] -= 1
-
-    def in_flight(self, port: int) -> int:
-        """Number of accesses currently outstanding on ``port``."""
-        return self._in_flight[port]
-
-    def total_in_flight(self) -> int:
-        """Total outstanding accesses across all lanes."""
-        return sum(self._in_flight)
 
     def reset(self) -> None:
         """Clear all counters."""

@@ -54,9 +54,6 @@ class StridedWriteConverter(Converter):
     def issue(self, free_ports: Set[int], out: List[WordRequest]) -> None:
         self._pipe.issue(free_ports, out)
 
-    def has_unissued(self) -> bool:
-        return bool(self._pipe._unissued)
-
     def unissued_deques(self):
         return (self._pipe._unissued,)
 

@@ -217,13 +217,12 @@ class ControllerTestbench:
         write_payloads: Optional[Dict[int, bytes]] = None,
         max_outstanding: int = 8,
         max_cycles: int = 5_000_000,
-        event_driven: Optional[bool] = None,
+        event_driven: bool = True,
     ) -> TestbenchResult:
         """Drive the given requests to completion and return measurements.
 
-        ``event_driven`` selects the engine mode (None = the
-        ``REPRO_SIM_ENGINE`` environment default); both modes produce
-        identical measurements.
+        ``event_driven=False`` selects the naive tick-every-cycle engine;
+        both modes produce identical measurements.
         """
         engine = Engine(event_driven=event_driven)
         requestor = IdealRequestor(

@@ -53,10 +53,6 @@ class AreaBreakdown:
         """Total adapter area in kGE."""
         return sum(self.components.values())
 
-    def fraction(self, name: str) -> float:
-        """Fraction of the total contributed by one component."""
-        return self.components[name] / self.total_kge
-
     def as_rows(self):
         """(name, kGE, share) rows sorted by decreasing area."""
         rows = [

@@ -30,12 +30,6 @@ class CrossbarAreaBreakdown:
         """Total area in kGE."""
         return self.crossbar_kge + self.modulo_kge + self.divider_kge
 
-    @property
-    def prime_overhead_fraction(self) -> float:
-        """Fraction of the total spent on prime-count address hardware."""
-        total = self.total_kge
-        return (self.modulo_kge + self.divider_kge) / total if total else 0.0
-
     def as_dict(self) -> Dict[str, float]:
         """Flat dictionary for reporting."""
         return {

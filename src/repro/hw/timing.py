@@ -34,10 +34,3 @@ class TimingModel:
             raise ConfigurationError("bus must be at least one word wide")
         return self.base_period_ps + self.per_level_ps * math.log2(lanes)
 
-    def max_frequency_ghz(self, bus_bits: int) -> float:
-        """Maximum achievable clock frequency in GHz."""
-        return 1000.0 / self.min_period_ps(bus_bits)
-
-    def meets_target(self, bus_bits: int, target_period_ps: float) -> bool:
-        """True if the adapter closes timing at the requested period."""
-        return target_period_ps >= self.min_period_ps(bus_bits)

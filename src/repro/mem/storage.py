@@ -64,19 +64,6 @@ class MemoryStorage:
         view.flags.writeable = False
         return view
 
-    def read_bytes(self, addr: int, length: int) -> bytes:
-        """Return ``length`` bytes starting at ``addr`` as a ``bytes`` object.
-
-        Equivalent to ``read(...).tobytes()`` but with a single copy; used on
-        the word-access hot path of the banked memory model.
-        """
-        if addr < 0 or length < 0 or addr + length > self.size_bytes:
-            raise MemoryAccessError(
-                f"access [{addr:#x}, {addr + length:#x}) outside memory of "
-                f"{self.size_bytes:#x} bytes"
-            )
-        return self._data.data[addr : addr + length].tobytes()
-
     def write(self, addr: int, data: Union[bytes, bytearray, np.ndarray]) -> None:
         """Write a byte string or byte array at ``addr``."""
         if isinstance(data, (bytes, bytearray, memoryview)):

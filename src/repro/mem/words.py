@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from repro.axi.types import Resp
 from repro.errors import ConfigurationError
 from repro.utils.bitutils import is_power_of_two
@@ -54,22 +52,10 @@ class BankAddressMap:  # reprolint: disable=HOT01: frozen dataclass with a field
         """Word address containing a byte address."""
         return byte_addr // self.word_bytes
 
-    def bank_of(self, byte_addr: int) -> int:
-        """Bank holding the word that contains ``byte_addr``."""
-        return self.word_of(byte_addr) % self.num_banks
-
-    def row_of(self, byte_addr: int) -> int:
-        """Row within the bank holding ``byte_addr``."""
-        return self.word_of(byte_addr) // self.num_banks
-
     def decompose(self, byte_addr: int) -> Tuple[int, int]:
         """Return ``(bank, row)`` for a byte address."""
         word = self.word_of(byte_addr)
         return word % self.num_banks, word // self.num_banks
-
-    def banks_of_words(self, word_addrs: np.ndarray) -> np.ndarray:
-        """Vectorized bank computation for an array of word addresses."""
-        return np.asarray(word_addrs, dtype=np.int64) % self.num_banks
 
 
 class WordRequest:

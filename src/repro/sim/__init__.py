@@ -17,7 +17,7 @@ for the full contract.
 """
 
 from repro.sim.component import IDLE, Component, WakeHint
-from repro.sim.queue import DecoupledQueue, LatencyPipe
+from repro.sim.queue import DecoupledQueue
 from repro.sim.datapath import (
     DatapathMode,
     default_datapath_mode,
@@ -34,7 +34,6 @@ __all__ = [
     "DataPolicy",
     "DatapathMode",
     "DecoupledQueue",
-    "LatencyPipe",
     "Engine",
     "Counter",
     "StatsRegistry",

@@ -5,9 +5,8 @@ Per-cycle evaluation keeps the seed engine's two-phase contract:
 1. every component *due* this cycle has its
    :meth:`~repro.sim.component.Component.tick` called (order does not affect
    results because queue pushes are not visible until commit);
-2. every queue touched this cycle is committed, every component subscribed
-   to a touched queue is woken for the next cycle, and every latency pipe is
-   advanced;
+2. every queue touched this cycle is committed, and every component
+   subscribed to a touched queue is woken for the next cycle;
 3. the cycle counter increments.
 
 What makes the engine event-driven is *which* components are due: each tick
@@ -26,27 +25,20 @@ totals each cycle): if no item is pushed or popped anywhere for
 with a snapshot of component states to aid debugging.
 
 For A/B comparison and regression hunting the seed behaviour is still
-available: construct ``Engine(event_driven=False)`` or set the environment
-variable ``REPRO_SIM_ENGINE=naive`` to tick every component and commit every
-queue on every cycle.  Both modes produce identical cycle counts and
-statistics; the event-driven mode is simply faster.
+available: construct ``Engine(event_driven=False)`` to tick every component
+and commit every queue on every cycle.  Both modes produce identical cycle
+counts and statistics; the event-driven mode is simply faster.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.component import IDLE, Component
-from repro.sim.queue import DecoupledQueue, LatencyPipe
-
-
-def _default_event_driven() -> bool:
-    """Engine mode default: event-driven unless REPRO_SIM_ENGINE=naive."""
-    return os.environ.get("REPRO_SIM_ENGINE", "event").strip().lower() != "naive"
+from repro.sim.queue import DecoupledQueue
 
 
 @dataclass(frozen=True)
@@ -131,12 +123,10 @@ class Engine:
     def __init__(
         self,
         deadlock_window: int = 10_000,
-        event_driven: Optional[bool] = None,
+        event_driven: bool = True,
     ) -> None:
         from repro.sim.stats import StatsRegistry
 
-        if event_driven is None:
-            event_driven = _default_event_driven()
         self.event_driven = event_driven
         self.cycle = 0
         self.stats = StatsRegistry()
@@ -144,7 +134,6 @@ class Engine:
         self._components: List[Component] = []
         self._wakes: List[float] = []  #: next due cycle per component slot
         self._queues: List[DecoupledQueue] = []
-        self._pipes: List[LatencyPipe] = []
         self._activity = 0  #: O(1) push/pop counter, bumped by bound queues
         self._touched_queues: List[DecoupledQueue] = []  #: dirty list, per cycle
 
@@ -181,15 +170,6 @@ class Engine:
             self._touched_queues.append(queue)
         return queue
 
-    def new_queue(self, name: str, depth: int) -> DecoupledQueue:
-        """Create and register a queue in one call."""
-        return self.add_queue(DecoupledQueue(name, depth))
-
-    def add_pipe(self, pipe: LatencyPipe) -> LatencyPipe:
-        """Register a fixed-latency pipe to be advanced every cycle."""
-        self._pipes.append(pipe)
-        return pipe
-
     # ----------------------------------------------------------------- running
     def step(self, cycles: int = 1) -> None:
         """Advance the simulation by ``cycles`` clock cycles (no skipping)."""
@@ -224,8 +204,6 @@ class Engine:
             # Seed behaviour: every queue committed every cycle.
             for queue in self._queues:
                 queue.commit()
-        for pipe in self._pipes:
-            pipe.advance()
         self.cycle = cycle + 1
 
     def run_until(
@@ -259,7 +237,6 @@ class Engine:
         # (registration mutates them in place, so identity is stable).
         wakes = self._wakes
         components = self._components
-        pipes = self._pipes
         touched = self._touched_queues
         while not done():
             cycle = self.cycle
@@ -281,28 +258,17 @@ class Engine:
             if not ticked and not touched:
                 # Nothing is due at the current cycle: fast-forward to the
                 # earliest wake, stopping where deadlock detection or the
-                # cycle budget would have fired during naive stepping.  An
-                # in-flight latency pipe bounds the jump to its maturity
-                # cycle (hinted pipe consumers also carry that cycle in
-                # their own hints; legacy consumers pin stepping anyway).
+                # cycle budget would have fired during naive stepping.
                 next_wake = min(wakes) if wakes else IDLE
                 target = min(
                     next_wake,
                     cycle + (window - idle_cycles),
                     start_cycle + max_cycles,
                 )
-                if pipes:
-                    for pipe in pipes:
-                        ready = pipe.next_ready_cycle()
-                        if ready is not None and cycle < ready < target:
-                            target = ready
                 # ceil: a fractional wake hint must not truncate to a
                 # zero-cycle jump (the loop would never advance).
                 skipped = math.ceil(target) - cycle
                 idle_cycles += skipped
-                if pipes:
-                    for pipe in pipes:
-                        pipe.advance(skipped)
                 self.cycle = cycle + skipped
                 if idle_cycles >= window:
                     raise self._deadlock_error()
@@ -324,9 +290,6 @@ class Engine:
                         if wakes[slot] > next_cycle:
                             wakes[slot] = next_cycle
                 del touched[:]
-            if pipes:
-                for pipe in pipes:
-                    pipe.advance()
             self.cycle = cycle + 1
             activity = self._activity
             if activity == last_activity:
@@ -361,10 +324,6 @@ class Engine:
                 last_activity = activity
         return self.cycle - start_cycle
 
-    def drain(self, max_cycles: int = 1_000_000) -> int:
-        """Run until every component reports idle and every queue is empty."""
-        return self.run_until(self._all_idle, max_cycles=max_cycles)
-
     # ----------------------------------------------------------------- helpers
     def _activity_totals(self) -> int:
         """Seed-style activity scan (kept for the naive compatibility mode).
@@ -376,13 +335,6 @@ class Engine:
         return self._activity + sum(
             q.total_pushed + q.total_popped for q in self._queues
         )
-
-    def _all_idle(self) -> bool:
-        if any(component.busy() for component in self._components):
-            return False
-        if any(not queue.is_empty() for queue in self._queues):
-            return False
-        return all(pipe.is_empty() for pipe in self._pipes)
 
     def diagnose(self) -> HangDiagnosis:
         """Snapshot why the simulation is (or appears) wedged, right now.
@@ -424,7 +376,7 @@ class Engine:
         return DeadlockError(diagnosis.render(), diagnosis=diagnosis)
 
     def reset(self) -> None:
-        """Reset cycle count, statistics, components, queues and pipes."""
+        """Reset cycle count, statistics, components and queues."""
         self.cycle = 0
         self.stats.reset()
         self._wakes = [0] * len(self._components)

@@ -177,10 +177,6 @@ class SystemConfig:
         """A copy of this configuration targeting a different system kind."""
         return replace(self, kind=kind)
 
-    def with_data_policy(self, policy: Union[DataPolicy, str]) -> "SystemConfig":
-        """A copy of this configuration under a different data policy."""
-        return replace(self, data_policy=resolve_data_policy(policy))
-
     def with_engines(self, num_engines: int,
                      arbitration: Optional[str] = None) -> "SystemConfig":
         """A copy of this configuration with a different requestor count."""

@@ -267,7 +267,7 @@ class Soc:
         self,
         program: Union[Program, Sequence[Program]],
         max_cycles: int = 50_000_000,
-        event_driven: Optional[bool] = None,
+        event_driven: bool = True,
     ) -> Tuple[int, Union[EngineResult, List[EngineResult]]]:
         """Execute vector program(s) to completion; return (cycles, result).
 
@@ -275,9 +275,8 @@ class Soc:
         the result is one :class:`EngineResult`, exactly the historical API)
         or a sequence of per-engine programs, one per vector engine (the
         result is a list of per-engine :class:`EngineResult` in engine
-        order).  ``event_driven`` selects the engine mode (None = the
-        ``REPRO_SIM_ENGINE`` environment default); both modes produce
-        identical cycle counts and statistics.
+        order).  ``event_driven=False`` selects the naive tick-every-cycle
+        engine; both modes produce identical cycle counts and statistics.
         """
         if isinstance(program, Program):
             if self.num_engines != 1:
@@ -293,7 +292,7 @@ class Soc:
         self,
         programs: Sequence[Program],
         max_cycles: int = 50_000_000,
-        event_driven: Optional[bool] = None,
+        event_driven: bool = True,
     ) -> Tuple[int, List[EngineResult]]:
         """Execute one program per vector engine; return (cycles, results).
 

@@ -28,7 +28,7 @@ from repro.vector.ops import ScalarWork, VectorCompute, VectorLoad, VectorOp, Ve
 
 @dataclass
 class Program:
-    """A fully assembled kernel: micro-ops plus the instruction listing."""
+    """A fully assembled kernel: micro-ops plus the assembled instructions."""
 
     name: str
     mode: LoweringMode
@@ -39,18 +39,6 @@ class Program:
     def num_instructions(self) -> int:
         """Number of assembled instructions (scalar work included)."""
         return len(self.instructions)
-
-    def memory_ops(self) -> List[VectorOp]:
-        """All loads and stores in program order."""
-        return [op for op in self.ops if op.is_memory]
-
-    def listing(self, limit: Optional[int] = None) -> str:
-        """Human-readable assembly listing (truncated to ``limit`` lines)."""
-        lines = [instr.render() for instr in self.instructions]
-        if limit is not None and len(lines) > limit:
-            omitted = len(lines) - limit
-            lines = lines[:limit] + [f"... ({omitted} more instructions)"]
-        return "\n".join(lines)
 
     def validate(self, config: Optional[VectorEngineConfig] = None) -> None:
         """Check the program is a legal kernel for its lowering mode.
@@ -376,11 +364,6 @@ class AraProgramBuilder:
         return self._compute(Mnemonic.VFADD, dest, (a, b), count,
                              fn=lambda x, y: x + y, label=label)
 
-    def vfsub(self, dest: str, a: str, b: str, count: int, label: str = "") -> int:
-        """Element-wise subtraction."""
-        return self._compute(Mnemonic.VFSUB, dest, (a, b), count,
-                             fn=lambda x, y: x - y, label=label)
-
     def vfmul(self, dest: str, a: str, b: str, count: int, label: str = "") -> int:
         """Element-wise multiplication."""
         return self._compute(Mnemonic.VFMUL, dest, (a, b), count,
@@ -414,11 +397,6 @@ class AraProgramBuilder:
         return self._compute(Mnemonic.VFREDMIN, dest, (src,), count,
                              fn=lambda x: np.asarray([np.float32(np.min(x))]),
                              is_reduction=True, label=label)
-
-    def vmv(self, dest: str, src: str, count: int, label: str = "") -> int:
-        """Register move."""
-        return self._compute(Mnemonic.VMV, dest, (src,), count,
-                             fn=lambda x: x.copy(), label=label)
 
     def vmv_vx(self, dest: str, value: float, count: int, label: str = "") -> int:
         """Broadcast a scalar into a vector register."""

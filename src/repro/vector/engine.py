@@ -742,11 +742,6 @@ class VectorEngine(Component):
             self._txn_kind.pop(request.txn_id, None)
 
     # ---------------------------------------------------- faults and watchdog
-    @property
-    def aborting(self) -> bool:
-        """True once a bus fault (or watchdog timeout) stopped dispatch."""
-        return self._aborting
-
     def _note_fault(self, state: _MemOpState, txn_id: int, resp: Resp,
                     cycle: int) -> None:
         """Record an in-band error response and enter the abort path.

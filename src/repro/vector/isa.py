@@ -70,20 +70,12 @@ REDUCTION_MNEMONICS = {Mnemonic.VFREDSUM, Mnemonic.VFREDMIN}
 
 @dataclass(frozen=True)
 class Instruction:
-    """One assembled instruction (kept for listings and statistics)."""
+    """One assembled instruction (kept for statistics and validation)."""
 
     mnemonic: Mnemonic
     vl: int
     operands: Dict[str, object] = field(default_factory=dict)
     comment: str = ""
-
-    def render(self) -> str:
-        """Assembly-like rendering, e.g. ``vlse32.v v1, (a0), a1  # vl=128``."""
-        args = ", ".join(f"{key}={value}" for key, value in self.operands.items())
-        text = f"{self.mnemonic.value} {args}".strip()
-        if self.comment:
-            text += f"  # {self.comment}"
-        return f"{text}  [vl={self.vl}]"
 
     @property
     def is_memory(self) -> bool:

@@ -22,7 +22,6 @@ class VectorRegisterFile:
         self.vlen_bytes = check_positive("vlen_bytes", vlen_bytes)
         self.num_registers = check_positive("num_registers", num_registers)
         self._vector: Dict[str, np.ndarray] = {}
-        self._scalar: Dict[str, float] = {}
 
     # --------------------------------------------------------------- vectors
     def write_vector(self, name: str, values: np.ndarray) -> None:
@@ -45,22 +44,10 @@ class VectorRegisterFile:
         """True if the register holds a value."""
         return name in self._vector
 
-    # --------------------------------------------------------------- scalars
-    def write_scalar(self, name: str, value: float) -> None:
-        """Store a scalar (CVA6-side) value."""
-        self._scalar[name] = float(value)
-
-    def read_scalar(self, name: str) -> float:
-        """Read a scalar value."""
-        if name not in self._scalar:
-            raise WorkloadError(f"scalar register {name!r} read before being written")
-        return self._scalar[name]
-
     # ------------------------------------------------------------------ misc
     def clear(self) -> None:
         """Drop all register contents."""
         self._vector.clear()
-        self._scalar.clear()
 
     def __contains__(self, name: str) -> bool:
-        return name in self._vector or name in self._scalar
+        return name in self._vector

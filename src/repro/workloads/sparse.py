@@ -55,14 +55,6 @@ class CsrMatrix:
         """The ``values``/``col_idx`` slice belonging to one row."""
         return slice(int(self.row_ptr[row]), int(self.row_ptr[row + 1]))
 
-    def to_dense(self) -> np.ndarray:
-        """Dense FP32 copy (for small matrices / references)."""
-        dense = np.zeros((self.num_rows, self.num_cols), dtype=np.float32)
-        for row in range(self.num_rows):
-            sl = self.row_slice(row)
-            dense[row, self.col_idx[sl]] = self.values[sl]
-        return dense
-
     def multiply(self, x: np.ndarray) -> np.ndarray:
         """Reference SpMV: ``y = A @ x`` in float64 accumulation."""
         if len(x) != self.num_cols:

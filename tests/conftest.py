@@ -13,6 +13,7 @@ from repro.controller.testbench import ControllerTestbench
 from repro.mem.banked import BankedMemory, BankedMemoryConfig
 from repro.mem.storage import MemoryStorage
 from repro.sim.component import Component
+from repro.sim.engine import Engine
 from repro.system.config import SystemConfig
 
 
@@ -53,6 +54,22 @@ def make_testbench(num_banks: int = 17, queue_depth: int = 4,
 def testbench() -> ControllerTestbench:
     """Default 17-bank controller testbench."""
     return make_testbench()
+
+
+def drain(engine: Engine, max_cycles: int = 1_000_000) -> int:
+    """Run ``engine`` until every component is idle and every queue empty."""
+
+    def idle() -> bool:
+        return not any(
+            component.busy() for component in engine._components
+        ) and all(queue.is_empty() for queue in engine._queues)
+
+    return engine.run_until(idle, max_cycles=max_cycles)
+
+
+def prime_overhead_fraction(breakdown) -> float:
+    """Share of a bank crossbar's area spent on prime-count addressing."""
+    return (breakdown.modulo_kge + breakdown.divider_kge) / breakdown.total_kge
 
 
 @pytest.fixture

@@ -80,12 +80,6 @@ class TestBaseLowering:
         requests = builder.base_indexed(stream, indices, is_write=False)
         assert [r.addr for r in requests] == [0x100C, 0x1000, 0x1024, 0x1004]
 
-    def test_index_fetch_is_contiguous(self, builder):
-        stream = IndirectStream(base=0, num_elements=100, elem_bytes=4, index_base=0x4000)
-        requests = builder.index_fetch(stream)
-        assert all(r.contiguous for r in requests)
-        assert sum(r.payload_bytes for r in requests) == 400
-
     def test_lower_indexed_without_indices_rejected(self, builder):
         stream = IndirectStream(base=0, num_elements=4, elem_bytes=4, index_base=0)
         with pytest.raises(ConfigurationError):

@@ -18,7 +18,6 @@ class TestChannelMonitor:
         for _ in range(10):
             monitor.record_beat(4)
         assert monitor.utilization(10) == pytest.approx(0.125)
-        assert monitor.packing_efficiency() == pytest.approx(0.125)
 
     def test_idle_cycles_reduce_utilization(self):
         monitor = ChannelMonitor("R", 32)
@@ -44,17 +43,6 @@ class TestChannelMonitor:
         monitor = ChannelMonitor("R", 32)
         assert monitor.utilization(0) == 0.0
         assert monitor.occupancy(0) == 0.0
-        assert monitor.packing_efficiency() == 0.0
-
-    def test_merge(self):
-        a = ChannelMonitor("R", 32)
-        b = ChannelMonitor("R", 32)
-        a.record_beat(32, kind="data")
-        b.record_beat(16, kind="index")
-        a.merge(b)
-        assert a.beats == 2
-        assert a.useful_bytes == 48
-        assert a.useful_bytes_by_kind == {"data": 32, "index": 16}
 
     def test_reset(self):
         monitor = ChannelMonitor("R", 32)

@@ -20,11 +20,6 @@ class TestPackMode:
 
 
 class TestLayout:
-    def test_total_bits(self):
-        layout = PackUserLayout(stride_bits=24, offset_bits=28)
-        assert layout.payload_bits == 30
-        assert layout.total_bits == 32
-
     def test_rejects_zero_width(self):
         with pytest.raises(ConfigurationError):
             PackUserLayout(stride_bits=0)
@@ -105,5 +100,12 @@ class TestEncodeDecode:
         assert decoded.index_base_addr == base
 
     def test_fits_in_32_bit_user_signal(self):
+        # The widest stride and index offset the default layout encodes.
         layout = PackUserLayout()
-        assert layout.total_bits <= 32
+        widest = (
+            PackUserField.strided((1 << layout.stride_bits) - 1),
+            PackUserField(mode=PackMode.INDIRECT, index_bytes=4,
+                          index_offset=(1 << layout.offset_bits) - 1),
+        )
+        for field in widest:
+            assert field.encode(layout) < 1 << 32

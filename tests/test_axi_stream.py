@@ -67,12 +67,6 @@ class TestIndirectStream:
         indices = np.asarray([16, 64])
         assert list(stream.element_addresses(indices)) == [16, 64]
 
-    def test_index_addresses(self):
-        stream = IndirectStream(base=0, num_elements=4, elem_bytes=4,
-                                index_base=0x40, index_bytes=2)
-        assert list(stream.index_addresses()) == [0x40, 0x42, 0x44, 0x46]
-        assert stream.index_bytes_total == 8
-
     def test_wrong_index_count_rejected(self):
         stream = IndirectStream(base=0, num_elements=4, elem_bytes=4, index_base=0)
         with pytest.raises(ConfigurationError):

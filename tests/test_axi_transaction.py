@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.axi.pack import PackMode, PackUserField
-from repro.axi.signals import ARBeat, AWBeat
 from repro.axi.transaction import BusRequest, next_txn_id
 from repro.errors import ProtocolError
 
@@ -115,23 +114,20 @@ class TestValidation:
                        bus_bytes=48, pack=PackUserField.strided(1))
 
 
-class TestChannelConversion:
-    def test_read_becomes_ar(self):
-        beat = strided(elems=8).to_channel_beat()
-        assert isinstance(beat, ARBeat)
-        assert beat.num_beats == 1
-        assert beat.user & 1 == 1
+class TestUserField:
+    """The AR/AW user bits a request puts on the wire (``pack.encode()``)."""
 
-    def test_write_becomes_aw(self):
-        beat = strided(elems=8, write=True).to_channel_beat()
-        assert isinstance(beat, AWBeat)
+    def test_packed_request_sets_the_pack_bit(self):
+        request = strided(elems=8)
+        assert request.num_beats == 1
+        assert request.pack.encode() & 1 == 1
 
     def test_plain_request_has_zero_user(self):
-        assert contiguous().to_channel_beat().user == 0
+        assert contiguous().pack.encode() == 0
 
     def test_user_field_roundtrip_through_wire(self):
         request = indirect(idx_bytes=2, idx_base=0x800)
-        decoded = PackUserField.decode(request.to_channel_beat().user)
+        decoded = PackUserField.decode(request.pack.encode())
         assert decoded.mode is PackMode.INDIRECT
         assert decoded.index_bytes == 2
         assert decoded.index_base_addr == 0x800

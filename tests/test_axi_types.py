@@ -4,7 +4,6 @@ import pytest
 
 from repro.axi.types import (
     AXI4_MAX_BURST_LEN,
-    BurstType,
     Resp,
     check_burst_len_legal,
     check_incr_burst_legal,
@@ -80,11 +79,6 @@ class TestBeatSize:
 
 
 class TestEnums:
-    def test_burst_encoding(self):
-        assert BurstType.FIXED.encoding == 0
-        assert BurstType.INCR.encoding == 1
-        assert BurstType.WRAP.encoding == 2
-
     def test_resp_values(self):
         assert Resp.OKAY.value == 0
         assert Resp.SLVERR.value == 2

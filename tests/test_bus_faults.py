@@ -34,10 +34,13 @@ from repro.errors import (
     ReproError,
 )
 from repro.sim.engine import Engine
+from repro.sim.queue import DecoupledQueue
 from repro.system.config import SystemConfig, SystemKind
 from repro.system.runner import run_workload
 from repro.system.soc import build_system
 from repro.workloads import make_workload
+
+from conftest import drain
 
 #: A spec that faults gemv's data region on every system kind.
 GEMV_FAULT = {"faults": [{"kind": "slverr", "addr_lo": 4096, "addr_hi": 8192}]}
@@ -67,12 +70,6 @@ class TestRespOrdering:
     def test_worst_resp_identity(self):
         for resp in Resp:
             assert worst_resp(resp, resp) is resp
-
-    def test_is_error(self):
-        assert not Resp.OKAY.is_error
-        assert not Resp.EXOKAY.is_error
-        assert Resp.SLVERR.is_error
-        assert Resp.DECERR.is_error
 
 
 # ------------------------------------------------------------- spec matching
@@ -292,7 +289,7 @@ class TestHangDiagnosis:
         from repro.sim.component import Component
 
         engine = Engine(deadlock_window=20)
-        queue = engine.new_queue("stuck-q", 4)
+        queue = engine.add_queue(DecoupledQueue("stuck-q", 4))
 
         class Filler(Component):
             def tick(self, cycle):
@@ -320,7 +317,7 @@ class TestHangDiagnosis:
     def test_deadlock_error_carries_diagnosis(self):
         engine = self._wedged_engine()
         with pytest.raises(DeadlockError) as excinfo:
-            engine.drain(max_cycles=10_000)
+            drain(engine, max_cycles=10_000)
         diagnosis = excinfo.value.diagnosis
         assert diagnosis is not None
         assert diagnosis.window == 20
@@ -334,7 +331,7 @@ class TestHangDiagnosis:
     def test_diagnosis_render_and_to_dict(self):
         engine = self._wedged_engine()
         with pytest.raises(DeadlockError) as excinfo:
-            engine.drain(max_cycles=10_000)
+            drain(engine, max_cycles=10_000)
         diagnosis = excinfo.value.diagnosis
         payload = diagnosis.to_dict()
         json.dumps(payload)

@@ -176,6 +176,30 @@ class TestWriteCorrectness:
         assert np.array_equal(tb.storage.read_array(0x40000, 64 * 3, np.float32)[::3], values)
 
 
+class TestAdapterCounters:
+    """The adapter's R and W beat counters, the channel totals it reports."""
+
+    def test_read_counters_match_the_requestor_monitor(self, builder):
+        tb = make_testbench()
+        fill(tb)
+        strided = StridedStream(base=0, num_elements=100, elem_bytes=4, stride_elems=3)
+        narrow = StridedStream(base=0x1000, num_elements=8, elem_bytes=4, stride_elems=5)
+        requests = (builder.pack_strided(strided, is_write=False)
+                    + builder.lower(narrow, is_write=False, packed=False))
+        result = tb.run(requests)
+        assert result.r_beats > 0
+        assert tb.stats.get("adapter.r_beats") == result.r_beats
+        assert tb.stats.get("adapter.r_useful_bytes") == result.r_useful_bytes
+
+    def test_write_counter_counts_every_w_beat(self, builder):
+        tb = make_testbench()
+        stream = StridedStream(base=0x40000, num_elements=64, elem_bytes=4, stride_elems=3)
+        writes = builder.pack_strided(stream, is_write=True)
+        payloads = {writes[0].txn_id: np.arange(64, dtype=np.float32).tobytes()}
+        tb.run(writes, write_payloads=payloads)
+        assert tb.stats.get("adapter.w_beats") == sum(w.num_beats for w in writes) == 8
+
+
 class TestBandwidthBehaviour:
     def test_packed_strided_is_efficient_with_prime_banks(self, builder):
         tb = make_testbench(num_banks=17)

@@ -8,45 +8,8 @@ from repro.axi.types import Resp
 from repro.controller.context import AdapterConfig
 from repro.controller.pipes import ReadPipe, WritePipe
 from repro.controller.planners import plan_strided_beats
-from repro.controller.regulator import RequestRegulator
 from repro.errors import SimulationError
 from repro.sim.stats import StatsRegistry
-
-
-class TestRegulator:
-    def test_limit_enforced(self):
-        regulator = RequestRegulator(num_ports=2, limit=2)
-        assert regulator.can_issue(0)
-        regulator.note_issue(0)
-        regulator.note_issue(0)
-        assert not regulator.can_issue(0)
-        assert regulator.can_issue(1)
-
-    def test_retire_frees_slot(self):
-        regulator = RequestRegulator(2, 1)
-        regulator.note_issue(1)
-        regulator.note_retire(1)
-        assert regulator.can_issue(1)
-
-    def test_overflow_raises(self):
-        regulator = RequestRegulator(1, 1)
-        regulator.note_issue(0)
-        with pytest.raises(SimulationError):
-            regulator.note_issue(0)
-
-    def test_underflow_raises(self):
-        regulator = RequestRegulator(1, 1)
-        with pytest.raises(SimulationError):
-            regulator.note_retire(0)
-
-    def test_totals(self):
-        regulator = RequestRegulator(4, 8)
-        regulator.note_issue(0)
-        regulator.note_issue(3)
-        assert regulator.total_in_flight() == 2
-        assert regulator.in_flight(3) == 1
-        regulator.reset()
-        assert regulator.total_in_flight() == 0
 
 
 def _strided_request(elems=16, stride=2):
@@ -56,6 +19,46 @@ def _strided_request(elems=16, stride=2):
 
 def _config(queue_depth=4):
     return AdapterConfig(bus_bytes=32, queue_depth=queue_depth)
+
+
+class TestRegulator:
+    """The per-lane in-flight limit, as the pipes check it inline."""
+
+    @staticmethod
+    def _blocked_pipe():
+        # Depth 1: one word in flight per lane, so the first issue fills
+        # every lane and the second beat waits.
+        pipe = ReadPipe("p", _config(queue_depth=1), StatsRegistry())
+        request = _strided_request(16)
+        pipe.accept(request, plan_strided_beats(request, 4, 8, 0))
+        out = []
+        pipe.issue(set(range(8)), out)
+        assert len(out) == 8
+        return pipe, out
+
+    def test_retire_frees_the_lane(self):
+        pipe, out = self._blocked_pipe()
+        _, state, slot = out[0].tag
+        pipe.take_response(state, slot, bytes(4))
+        more = []
+        pipe.issue(set(range(8)), more)
+        assert [word.port for word in more] == [slot.port]
+
+    def test_underflow_raises(self):
+        pipe, out = self._blocked_pipe()
+        _, state, slot = out[0].tag
+        pipe.take_response(state, slot, bytes(4))
+        with pytest.raises(SimulationError):
+            pipe.take_response(state, slot, bytes(4))
+
+    def test_reset_clears_in_flight_counts(self):
+        pipe, _ = self._blocked_pipe()
+        pipe.reset()
+        request = _strided_request(8)
+        pipe.accept(request, plan_strided_beats(request, 4, 8, 0))
+        out = []
+        pipe.issue(set(range(8)), out)
+        assert len(out) == 8
 
 
 class TestReadPipe:
@@ -147,7 +150,6 @@ class TestWritePipe:
         request = BusRequest(addr=0, is_write=True, num_elements=8, elem_bytes=4,
                              bus_bytes=32, pack=PackUserField.strided(2))
         pipe.accept(request, iter(plan_strided_beats(request, 4, 8, 0)))
-        assert pipe.expecting_w_data()
         pipe.take_w_beat(bytes(range(32)))
         out = []
         pipe.issue(set(range(8)), out)

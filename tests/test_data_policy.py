@@ -295,12 +295,6 @@ class TestPolicyPlumbing:
         with pytest.raises(ConfigurationError):
             SystemConfig(data_policy="half")
 
-    def test_with_data_policy(self):
-        config = SystemConfig(data_policy="full")
-        elided = config.with_data_policy("elide")
-        assert elided.data_policy is DataPolicy.ELIDE
-        assert config.data_policy is DataPolicy.FULL
-
 
 class TestCachePolicyIsolation:
     def _spec(self, policy: DataPolicy, verify: bool = False) -> RunSpec:

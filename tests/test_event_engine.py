@@ -11,7 +11,9 @@ import pytest
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.component import IDLE, Component
 from repro.sim.engine import Engine
-from repro.sim.queue import LatencyPipe
+from repro.sim.queue import DecoupledQueue
+
+from conftest import drain
 
 
 class PeriodicProducer(Component):
@@ -93,7 +95,7 @@ class StuckSleeper(Component):
 
 def build(event_driven, count=5, period=7, consumer_cls=SleepyConsumer):
     engine = Engine(event_driven=event_driven)
-    queue = engine.new_queue("q", 4)
+    queue = engine.add_queue(DecoupledQueue("q", 4))
     producer = engine.add_component(PeriodicProducer(queue, count, period))
     consumer = engine.add_component(consumer_cls(queue))
     return engine, queue, producer, consumer
@@ -103,15 +105,15 @@ class TestIdleSkipCorrectness:
     def test_fast_forward_matches_naive_cycles(self):
         naive, _, np_, nc = build(event_driven=False)
         event, _, ep, ec = build(event_driven=True)
-        n_cycles = naive.drain()
-        e_cycles = event.drain()
+        n_cycles = drain(naive)
+        e_cycles = drain(event)
         assert e_cycles == n_cycles
         assert ec.received == nc.received
         assert event.cycle == naive.cycle
 
     def test_idle_windows_are_actually_skipped(self):
         event, _, producer, consumer = build(event_driven=True, count=5, period=50)
-        cycles = event.drain()
+        cycles = drain(event)
         assert cycles > 200  # five tokens, fifty cycles apart
         # The producer runs at its period, not every cycle.
         assert len(producer.tick_cycles) < 20
@@ -119,7 +121,7 @@ class TestIdleSkipCorrectness:
 
     def test_hinted_component_ticks_exactly_at_wake_cycles(self):
         event, _, producer, _ = build(event_driven=True, count=3, period=10)
-        event.drain()
+        drain(event)
         # First tick at registration (cycle 0), then at the hinted period —
         # plus the self-wake one cycle after each push (its queue was touched).
         assert producer.tick_cycles[0] == 0
@@ -128,11 +130,15 @@ class TestIdleSkipCorrectness:
 
     def test_queue_activity_wakes_sleeping_consumer(self):
         event, queue, producer, consumer = build(event_driven=True, count=1, period=30)
-        event.drain()
+        drain(event)
         # Push at cycle 0 commits at end of cycle 0; the consumer must see
         # the token on cycle 1 despite having returned IDLE at cycle 0.
         assert consumer.received == [0]
         assert 1 in consumer.tick_cycles
+
+    def test_engine_is_event_driven_by_default(self):
+        assert Engine().event_driven is True
+        assert Engine(event_driven=False).event_driven is False
 
     def test_step_api_still_advances_one_cycle_at_a_time(self):
         event, _, _, _ = build(event_driven=True)
@@ -143,9 +149,9 @@ class TestIdleSkipCorrectness:
         # A queue pushed from outside the engine (no component awake) must
         # still commit on the next cycle instead of being skipped over.
         event = Engine(event_driven=True)
-        queue = event.new_queue("q", 4)
+        queue = event.add_queue(DecoupledQueue("q", 4))
         consumer = event.add_component(SleepyConsumer(queue))
-        event.drain()  # consumer goes IDLE with nothing to do
+        drain(event)  # consumer goes IDLE with nothing to do
         queue.push("late")
         cycles = event.run_until(lambda: consumer.received == ["late"], max_cycles=10)
         assert consumer.received == ["late"]
@@ -157,7 +163,7 @@ class TestMixedComponents:
         event, _, producer, consumer = build(
             event_driven=True, count=3, period=10, consumer_cls=LegacyConsumer
         )
-        cycles = event.drain()
+        cycles = drain(event)
         # The legacy consumer pins the engine to cycle-by-cycle stepping...
         assert len(consumer.tick_cycles) == cycles
         # ...while the hinted producer still sleeps between its wakes.
@@ -166,7 +172,7 @@ class TestMixedComponents:
     def test_mixed_engine_matches_naive_results(self):
         naive, _, _, nc = build(event_driven=False, consumer_cls=LegacyConsumer)
         event, _, _, ec = build(event_driven=True, consumer_cls=LegacyConsumer)
-        assert naive.drain() == event.drain()
+        assert drain(naive) == drain(event)
         assert ec.received == nc.received
 
 
@@ -174,17 +180,17 @@ class TestDeadlockAndBudgetParity:
     def test_deadlock_detected_across_skipped_windows(self):
         window = 123
         event = Engine(deadlock_window=window, event_driven=True)
-        queue = event.new_queue("q", 2)
+        queue = event.add_queue(DecoupledQueue("q", 2))
         queue.push(1)  # a stuck item keeps drain() from succeeding
         event.add_component(StuckSleeper("stuck"))
         with pytest.raises(DeadlockError):
-            event.drain(max_cycles=100_000)
+            drain(event, max_cycles=100_000)
         naive = Engine(deadlock_window=window, event_driven=False)
-        nqueue = naive.new_queue("q", 2)
+        nqueue = naive.add_queue(DecoupledQueue("q", 2))
         nqueue.push(1)
         naive.add_component(StuckSleeper("stuck"))
         with pytest.raises(DeadlockError):
-            naive.drain(max_cycles=100_000)
+            drain(naive, max_cycles=100_000)
         # The error fires at the same simulated cycle in both engines, even
         # though the event engine reached it in one jump.
         assert event.cycle == naive.cycle
@@ -194,13 +200,13 @@ class TestDeadlockAndBudgetParity:
         # must be measured from the last activity, not from the skip start.
         window = 50
         event = Engine(deadlock_window=window, event_driven=True)
-        queue = event.new_queue("q", 4)
+        queue = event.add_queue(DecoupledQueue("q", 4))
         producer = PeriodicProducer(queue, 1, 1000)  # one push, then idle
         event.add_component(producer)
         with pytest.raises(DeadlockError):
             event.run_until(lambda: False, max_cycles=10_000)
         naive = Engine(deadlock_window=window, event_driven=False)
-        nqueue = naive.new_queue("q", 4)
+        nqueue = naive.add_queue(DecoupledQueue("q", 4))
         naive.add_component(PeriodicProducer(nqueue, 1, 1000))
         with pytest.raises(DeadlockError):
             naive.run_until(lambda: False, max_cycles=10_000)
@@ -216,37 +222,6 @@ class TestDeadlockAndBudgetParity:
         with pytest.raises(SimulationError):
             naive.run_until(lambda: False, max_cycles=777)
         assert event.cycle == naive.cycle == 777
-
-
-class TestLatencyPipe:
-    def test_bulk_advance_matches_single_steps(self):
-        single = LatencyPipe("p", 5)
-        bulk = LatencyPipe("p", 5)
-        single.push("x")
-        bulk.push("x")
-        for _ in range(5):
-            single.advance()
-        bulk.advance(5)
-        assert single.can_pop() and bulk.can_pop()
-        assert bulk.pop() == "x"
-
-    def test_next_ready_cycle(self):
-        pipe = LatencyPipe("p", 3)
-        assert pipe.next_ready_cycle() is None
-        pipe.push("x")
-        assert pipe.next_ready_cycle() == 3
-
-    def test_fast_forward_is_bounded_by_pipe_maturity(self):
-        event = Engine(event_driven=True)
-        pipe = event.add_pipe(LatencyPipe("p", 4))
-        pipe.push("x")
-        event.add_component(StuckSleeper("stuck"))
-        with pytest.raises(SimulationError):
-            event.run_until(lambda: pipe.can_pop() and False, max_cycles=10)
-        # Skips never jump past an in-flight item's maturity cycle, so the
-        # pipe matured exactly on schedule despite the fast-forwarding.
-        assert pipe.can_pop()
-        assert event.cycle == 10
 
 
 class FractionalWaker(Component):
@@ -270,20 +245,6 @@ class TestFractionalHints:
         assert event.cycle == 100
         # Woken at the first whole cycle at or after each hint, never later.
         assert waker.tick_cycles[:4] == [0, 2, 4, 6]
-
-
-class TestEngineModeSelection:
-    def test_env_var_selects_naive_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "naive")
-        assert Engine().event_driven is False
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "event")
-        assert Engine().event_driven is True
-        monkeypatch.delenv("REPRO_SIM_ENGINE")
-        assert Engine().event_driven is True
-
-    def test_explicit_flag_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "naive")
-        assert Engine(event_driven=True).event_driven is True
 
 
 class TestSystemParity:

@@ -29,6 +29,8 @@ from repro.system.config import SystemConfig, SystemKind
 from repro.system.runner import run_workload
 from repro.workloads import make_workload
 
+from conftest import prime_overhead_fraction
+
 PARETO_CSV = Path(__file__).resolve().parents[1] / "results" / "pareto.csv"
 
 MEASURED_WORKLOADS = ("gemv", "spmv", "csrspmv")
@@ -135,10 +137,10 @@ class TestFig5cCrossover:
 
     def test_prime_overhead_fraction_shrinks_with_banks(self):
         model = BankCrossbarAreaModel(num_ports=8)
-        fractions = [model.breakdown(n).prime_overhead_fraction
+        fractions = [prime_overhead_fraction(model.breakdown(n))
                      for n in (11, 17, 31)]
         assert fractions[0] > fractions[1] > fractions[2] > 0.0
-        assert model.breakdown(16).prime_overhead_fraction == 0.0
+        assert prime_overhead_fraction(model.breakdown(16)) == 0.0
 
 
 class TestCommittedParetoCsv:

@@ -12,6 +12,8 @@ from repro.system.config import SystemKind
 from repro.system.results import SystemRunResult
 from repro.vector.engine import EngineResult
 
+from conftest import prime_overhead_fraction
+
 
 class TestTimingModel:
     def test_published_minimum_periods(self):
@@ -24,15 +26,6 @@ class TestTimingModel:
         timing = TimingModel()
         assert 770 < timing.min_period_ps(32) < 800
         assert timing.min_period_ps(512) > timing.min_period_ps(256) - 60
-
-    def test_max_frequency(self):
-        timing = TimingModel()
-        assert timing.max_frequency_ghz(256) == pytest.approx(1000 / 839, rel=1e-3)
-
-    def test_meets_target(self):
-        timing = TimingModel()
-        assert timing.meets_target(256, 1000)
-        assert not timing.meets_target(256, 800)
 
 
 class TestAdapterArea:
@@ -102,8 +95,8 @@ class TestCrossbarArea:
 
     def test_prime_overhead_shrinks_relatively(self):
         model = BankCrossbarAreaModel()
-        assert (model.breakdown(31).prime_overhead_fraction
-                < model.breakdown(11).prime_overhead_fraction)
+        assert (prime_overhead_fraction(model.breakdown(31))
+                < prime_overhead_fraction(model.breakdown(11)))
 
     def test_total_in_paper_range(self):
         model = BankCrossbarAreaModel()

@@ -11,7 +11,7 @@ from repro.controller.testbench import ControllerTestbench
 from repro.errors import DeadlockError
 from repro.mem.banked import BankedMemory, BankedMemoryConfig
 from repro.mem.storage import MemoryStorage
-from repro.mem.words import WordRequest
+from repro.mem.words import BankAddressMap, WordRequest
 from repro.sim.component import IDLE
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
@@ -78,6 +78,19 @@ class TestTimingAndConflicts:
         _, cycles, _ = run_requests(bank_stage, memory, requests)
         assert stats.get("mem.bank_conflicts") > 0
         assert cycles >= 8
+
+    @pytest.mark.parametrize("num_banks", [11, 16, 17])
+    @pytest.mark.parametrize("words", [(0, 1), (3, 19), (5, 37), (16, 32), (8, 25)])
+    def test_conflicts_follow_the_bank_address_map(self, bank_stage, num_banks, words):
+        # Two ports access one word each in the same cycle: they conflict
+        # exactly when the address map puts both words in one bank.
+        memory, _, stats = make_memory(num_banks=num_banks)
+        amap = BankAddressMap(num_banks=num_banks, word_bytes=memory.config.word_bytes)
+        same_bank = len({amap.decompose(w * amap.word_bytes)[0] for w in words}) == 1
+        requests = [WordRequest(port=p, word_addr=w, is_write=False)
+                    for p, w in enumerate(words)]
+        run_requests(bank_stage, memory, requests)
+        assert (stats.get("mem.bank_conflicts") > 0) is same_bank
 
     def test_conflict_free_mode_ignores_conflicts(self, bank_stage):
         memory, _, stats = make_memory(num_banks=16, conflict_free=True)

@@ -107,7 +107,7 @@ class TestIdealEndpoint:
                 done_b.append(port.b.pop().txn_id)
             engine.step()
             if not reads and not writes and not pending_w and not endpoint.busy() \
-                    and port.is_idle():
+                    and all(queue.is_empty() for queue in port.all_queues()):
                 break
         return received, done_b
 

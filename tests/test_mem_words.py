@@ -1,6 +1,5 @@
 """Unit tests for the word-level bank address mapping."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,27 +11,21 @@ from repro.mem.words import BankAddressMap, WordRequest
 class TestBankAddressMap:
     def test_interleaving(self):
         amap = BankAddressMap(num_banks=4, word_bytes=4)
-        assert [amap.bank_of(addr) for addr in (0, 4, 8, 12, 16)] == [0, 1, 2, 3, 0]
+        assert [amap.decompose(addr)[0] for addr in (0, 4, 8, 12, 16)] == [0, 1, 2, 3, 0]
 
     def test_rows(self):
         amap = BankAddressMap(num_banks=4, word_bytes=4)
-        assert amap.row_of(0) == 0
-        assert amap.row_of(16) == 1
+        assert amap.decompose(0) == (0, 0)
+        assert amap.decompose(16) == (0, 1)
         assert amap.decompose(20) == (1, 1)
 
     def test_prime_bank_count(self):
         amap = BankAddressMap(num_banks=17, word_bytes=4)
         assert not amap.is_power_of_two
-        assert amap.bank_of(17 * 4) == 0
+        assert amap.decompose(17 * 4) == (0, 1)
 
     def test_power_of_two_detection(self):
         assert BankAddressMap(num_banks=16).is_power_of_two
-
-    def test_vectorized_matches_scalar(self):
-        amap = BankAddressMap(num_banks=11, word_bytes=4)
-        words = np.arange(100)
-        banks = amap.banks_of_words(words)
-        assert banks.tolist() == [amap.bank_of(int(w) * 4) for w in words]
 
     def test_word_size_must_be_power_of_two(self):
         with pytest.raises(ConfigurationError):
@@ -41,7 +34,7 @@ class TestBankAddressMap:
     @given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=1 << 20))
     def test_bank_in_range_property(self, banks, addr):
         amap = BankAddressMap(num_banks=banks, word_bytes=4)
-        assert 0 <= amap.bank_of(addr) < banks
+        assert 0 <= amap.decompose(addr)[0] < banks
 
     @given(st.integers(min_value=2, max_value=64), st.integers(min_value=0, max_value=1 << 16))
     def test_decompose_is_bijective(self, banks, word):

@@ -242,20 +242,60 @@ class TestDeadCodeRule:
                       manifest=manifest)
         assert codes(result) == []
 
+    def test_method_bad_fixture_flags_test_only_unread_and_self_calling(self):
+        manifest = {"dead_code_callers": self.CALLERS}
+        result = lint([f"{FIXTURES}/dead_methods_bad.py"], ["dead-code"],
+                      manifest=manifest)
+        flagged = {v.message.split("`")[1] for v in result.violations}
+        assert codes(result) == ["DEAD02"] * 3
+        assert flagged == {"Meter.only_tested", "Meter.unread", "Meter.spin"}
+
+    def test_method_exemptions_are_keyed_class_dot_method(self):
+        manifest = {"dead_code_callers": self.CALLERS}
+        key = "tests.fixtures.reprolint.dead_methods_bad:Meter.spin"
+        result = lint([f"{FIXTURES}/dead_methods_bad.py"], ["dead-code"],
+                      manifest=manifest)
+        assert any(f'"{key}"' in v.message for v in result.violations)
+        manifest["dead_code_exempt"] = {key: "deliberately uncalled (test)"}
+        result = lint([f"{FIXTURES}/dead_methods_bad.py"], ["dead-code"],
+                      manifest=manifest)
+        assert codes(result) == ["DEAD02"] * 2
+
+    def test_method_good_fixture_is_clean_once_the_class_is_exempt(self):
+        # ``Spec.result_compatible`` is reached only through a getattr
+        # string; ``Legacy`` and its method have no caller at all.
+        manifest = {"dead_code_callers": self.CALLERS}
+        result = lint([f"{FIXTURES}/dead_methods_good.py"], ["dead-code"],
+                      manifest=manifest)
+        assert codes(result) == ["DEAD01", "DEAD02"]
+        assert {v.message.split("`")[1] for v in result.violations} == {
+            "Legacy", "Legacy.kept",
+        }
+        key = "tests.fixtures.reprolint.dead_methods_good:Legacy"
+        manifest["dead_code_exempt"] = {key: "deliberately uncalled (test)"}
+        result = lint([f"{FIXTURES}/dead_methods_good.py"], ["dead-code"],
+                      manifest=manifest)
+        assert codes(result) == []
+
     def test_committed_exemptions_carry_reasons(self):
         exempt = LintConfig.load(REPO_ROOT).dead_code_exempt
         assert exempt and all(reason.strip() for reason in exempt.values())
 
     def test_committed_exemptions_name_live_symbols(self):
         # A stale key would silently exempt nothing; every key must name a
-        # module-level definition that still exists.
+        # module-level definition (``Name``) or a method of a module-level
+        # class (``Class.method``) that still exists.
         import ast
 
         for key in LintConfig.load(REPO_ROOT).dead_code_exempt:
             module, name = key.split(":")
             path = REPO_ROOT / "src" / (module.replace(".", "/") + ".py")
-            tree = ast.parse(path.read_text())
-            assert name in {getattr(node, "name", None) for node in tree.body}, key
+            body = ast.parse(path.read_text()).body
+            for part in name.split("."):
+                found = [node for node in body
+                         if getattr(node, "name", None) == part]
+                assert found, key
+                body = getattr(found[0], "body", [])
 
     @pytest.mark.parametrize("rel,module", [
         ("src/repro/axi/types.py", "repro.axi.types"),
@@ -303,6 +343,27 @@ class TestDeadCodeRule:
             'label = "named_in_a_string"\n'
         )
         assert not {"orphan", "exported", "named_in_a_string"} & found
+
+    def test_identifier_shaped_string_literals_are_named(self):
+        import ast
+
+        from tools.reprolint.rules.deadcode import literals
+
+        found = literals(ast.parse(
+            'checker = getattr(spec, "result_compatible", None)\n'
+            'label = "two words"\n'
+            'path = "a/b.py"\n'
+        ))
+        assert found == {"result_compatible"}
+
+    def test_method_self_calls_dropped_but_sibling_calls_count(self):
+        assert "spin" not in self.refs(
+            "class A:\n    def spin(self, n):\n        return self.spin(n)\n"
+        )
+        assert "spin" in self.refs(
+            "class A:\n    def spin(self, n):\n        return n\n\n"
+            "    def run(self):\n        return self.spin(1)\n"
+        )
 
     def test_package_init_imports_are_not_references(self):
         source = "from pkg.mod import reexported\n"

@@ -5,7 +5,10 @@ import pytest
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.component import Component
 from repro.sim.engine import Engine
+from repro.sim.queue import DecoupledQueue
 from repro.sim.stats import StatsRegistry
+
+from conftest import drain
 
 
 class Producer(Component):
@@ -51,16 +54,16 @@ class Stuck(Component):
 class TestEngine:
     def test_producer_consumer_drains(self):
         engine = Engine()
-        queue = engine.new_queue("q", 2)
+        queue = engine.add_queue(DecoupledQueue("q", 2))
         producer = engine.add_component(Producer(queue, 10))
         consumer = engine.add_component(Consumer(queue))
-        engine.drain()
+        drain(engine)
         assert len(consumer.received) == 10
         assert not producer.busy()
 
     def test_throughput_is_one_item_per_cycle(self):
         engine = Engine()
-        queue = engine.new_queue("q", 2)
+        queue = engine.add_queue(DecoupledQueue("q", 2))
         engine.add_component(Producer(queue, 20))
         consumer = engine.add_component(Consumer(queue))
         cycles = engine.run_until(lambda: len(consumer.received) == 20, max_cycles=100)
@@ -75,14 +78,14 @@ class TestEngine:
 
     def test_deadlock_detection(self):
         engine = Engine(deadlock_window=20)
-        engine.new_queue("q", 2)
+        engine.add_queue(DecoupledQueue("q", 2))
         engine.add_component(Stuck("stuck"))
         with pytest.raises(DeadlockError):
-            engine.drain(max_cycles=10_000)
+            drain(engine, max_cycles=10_000)
 
     def test_reset_restores_cycle_and_queues(self):
         engine = Engine()
-        queue = engine.new_queue("q", 2)
+        queue = engine.add_queue(DecoupledQueue("q", 2))
         engine.add_component(Producer(queue, 3))
         engine.step(2)
         engine.reset()

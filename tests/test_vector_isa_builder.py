@@ -36,10 +36,8 @@ class TestIsa:
         assert Mnemonic.VLE32 in MEMORY_MNEMONICS
         assert Mnemonic.VFMACC not in MEMORY_MNEMONICS
 
-    def test_instruction_render(self):
+    def test_instruction_classification(self):
         instr = Instruction(Mnemonic.VLSE32, vl=64, operands={"vd": "v1"}, comment="x")
-        text = instr.render()
-        assert "vlse32.v" in text and "vl=64" in text and "x" in text
         assert instr.is_memory and not instr.is_reduction
 
     def test_reduction_classification(self):
@@ -71,14 +69,7 @@ class TestBuilderBasics:
         assert isinstance(program.ops[0], VectorLoad)
         assert isinstance(program.ops[1], VectorCompute)
         assert isinstance(program.ops[2], VectorStore)
-        assert len(program.memory_ops()) == 2
-
-    def test_listing_truncation(self):
-        builder = make_builder()
-        for _ in range(5):
-            builder.scalar(1)
-        listing = builder.build().listing(limit=2)
-        assert "more instructions" in listing
+        assert sum(op.is_memory for op in program.ops) == 2
 
 
 class TestDependencies:

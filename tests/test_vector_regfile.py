@@ -35,19 +35,6 @@ class TestVectorRegisters:
     def test_clear(self):
         regfile = VectorRegisterFile(vlen_bytes=64)
         regfile.write_vector("v1", np.zeros(2, dtype=np.float32))
-        regfile.write_scalar("a0", 4.0)
         regfile.clear()
         assert not regfile.has_vector("v1")
-        assert "a0" not in regfile
-
-
-class TestScalarRegisters:
-    def test_scalar_roundtrip(self):
-        regfile = VectorRegisterFile(vlen_bytes=64)
-        regfile.write_scalar("f0", 2.5)
-        assert regfile.read_scalar("f0") == 2.5
-
-    def test_undefined_scalar_rejected(self):
-        regfile = VectorRegisterFile(vlen_bytes=64)
-        with pytest.raises(WorkloadError):
-            regfile.read_scalar("f1")
+        assert "v1" not in regfile

@@ -42,10 +42,13 @@ class TestCsrMatrix:
         with pytest.raises(WorkloadError):
             CsrMatrix(2, 2, row_ptr=[0, 1, 3], col_idx=[0, 1], values=[1.0, 2.0])
 
-    def test_to_dense_and_multiply_agree(self):
+    def test_dense_product_and_multiply_agree(self):
         matrix = random_csr(12, 12, avg_nnz_per_row=4, seed=2)
         x = random_vector(12)
-        dense = matrix.to_dense()
+        dense = np.zeros((12, 12), dtype=np.float32)
+        for row in range(12):
+            sl = matrix.row_slice(row)
+            dense[row, matrix.col_idx[sl]] = matrix.values[sl]
         expected = dense.astype(np.float64) @ x.astype(np.float64)
         assert np.allclose(matrix.multiply(x), expected, rtol=1e-5)
 
