@@ -10,3 +10,4 @@ def check_orphan():
 
 def check_meter():
     assert Meter().only_tested() == 1
+    assert getattr(Meter(), "unread") == 2

@@ -200,6 +200,23 @@ class TestAdapterCounters:
         assert tb.stats.get("adapter.w_beats") == sum(w.num_beats for w in writes) == 8
 
 
+class TestEngineParity:
+    def test_naive_engine_matches_the_default(self, builder):
+        strided = StridedStream(base=0, num_elements=100, elem_bytes=4, stride_elems=3)
+        requests = builder.pack_strided(strided, is_write=False)
+
+        def run(**engine):
+            tb = make_testbench()
+            fill(tb)
+            result = tb.run(requests, **engine)
+            return result, dict(tb.stats.as_dict())
+
+        default, default_stats = run()
+        naive, naive_stats = run(event_driven=False)
+        assert default == naive
+        assert default_stats == naive_stats
+
+
 class TestBandwidthBehaviour:
     def test_packed_strided_is_efficient_with_prime_banks(self, builder):
         tb = make_testbench(num_banks=17)

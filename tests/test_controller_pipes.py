@@ -36,6 +36,12 @@ class TestRegulator:
         assert len(out) == 8
         return pipe, out
 
+    def test_full_lanes_block_further_issue(self):
+        pipe, _ = self._blocked_pipe()
+        more = []
+        pipe.issue(set(range(8)), more)
+        assert more == []
+
     def test_retire_frees_the_lane(self):
         pipe, out = self._blocked_pipe()
         _, state, slot = out[0].tag

@@ -140,6 +140,24 @@ class TestIdleSkipCorrectness:
         assert Engine().event_driven is True
         assert Engine(event_driven=False).event_driven is False
 
+    def test_environment_does_not_select_the_engine(self, monkeypatch):
+        # ``event_driven`` is the only switch; the old env seam is gone.
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "naive")
+        assert Engine().event_driven is True
+
+    @pytest.mark.parametrize("entry", ["Soc.run_program", "Soc.run_programs",
+                                       "ControllerTestbench.run"])
+    def test_runners_default_to_the_event_driven_engine(self, entry):
+        import inspect
+
+        from repro.controller.testbench import ControllerTestbench
+        from repro.system.soc import Soc
+
+        owner, name = entry.split(".")
+        method = getattr({"Soc": Soc, "ControllerTestbench": ControllerTestbench}[owner], name)
+        default = inspect.signature(method).parameters["event_driven"].default
+        assert default is True
+
     def test_step_api_still_advances_one_cycle_at_a_time(self):
         event, _, _, _ = build(event_driven=True)
         event.step(5)

@@ -250,6 +250,17 @@ class TestDeadCodeRule:
         assert codes(result) == ["DEAD02"] * 3
         assert flagged == {"Meter.only_tested", "Meter.unread", "Meter.spin"}
 
+    def test_string_literals_in_test_files_are_not_references(self):
+        # The test caller reaches ``unread`` by getattr; that keeps nothing
+        # alive, exactly as a test's calls keep nothing alive.
+        caller = REPO_ROOT / FIXTURES / "dead_caller_test.py"
+        assert '"unread"' in caller.read_text()
+        manifest = {"dead_code_callers": self.CALLERS}
+        result = lint([f"{FIXTURES}/dead_methods_bad.py"], ["dead-code"],
+                      manifest=manifest)
+        assert "Meter.unread" in {v.message.split("`")[1]
+                                  for v in result.violations}
+
     def test_method_exemptions_are_keyed_class_dot_method(self):
         manifest = {"dead_code_callers": self.CALLERS}
         key = "tests.fixtures.reprolint.dead_methods_bad:Meter.spin"
