@@ -6,55 +6,40 @@ Two things live here:
    problem scale (speedups, utilizations, energy, area), unchanged from the
    seed benchmark suite.
 
-2. The **engine headline benchmark**: run the full workload × system grid
-   (the paper's six kernels plus the streaming ``csrspmv``) on both an
-   SRAM-class memory (``memory_latency=1``, the paper's evaluation
-   systems) and a DRAM-class memory (``memory_latency=100``), under both
-   data policies (``DataPolicy.FULL`` and the timing-only
-   ``DataPolicy.ELIDE``), for FULL once more on the seed-behaviour
-   tick-every-cycle engine (``event_driven=False``), and in both policies
-   once more on the seed scalar datapath (``REPRO_SIM_DATAPATH=scalar``).
-   On top of the single-engine grid, ``MULTI_ENGINE_GRID`` adds contention
+2. The **engine headline benchmark**, a gate runner: run the full
+   workload × system grid (the paper's six kernels plus the streaming
+   ``csrspmv``) on both an SRAM-class memory (``memory_latency=1``, the
+   paper's evaluation systems) and a DRAM-class memory
+   (``memory_latency=100``), plus the ``MULTI_ENGINE_GRID`` contention
    points (rows sharded across 2 engines behind the cycle-level AXI mux,
-   BASE and PACK, SRAM class), each A/B'd across the policy and engine
-   axes.  Every grid point asserts that cycle counts, statistics and
-   engine measurements are byte-identical across all compared axes, and
-   the run emits a machine-readable ``BENCH_headline.json`` with
-   per-policy cycles/sec and wall time per figure grid point, plus — with
-   ``--history BENCH_history.jsonl``, which CI passes — one JSONL line
-   appended to the cross-PR perf trajectory.  CI uploads both as artifacts
-   and gates on per-policy cycles/sec regressions *and per-point cycle
-   identity in both directions* against ``benchmarks/baseline.json`` (see
-   ``check_bench_regression.py``) — the cycle-identity gate is what pins
-   the ``num_engines=1`` topology bit-identical to the committed tree on
-   every grid point.
+   BASE and PACK, SRAM class).  Every point runs under both data policies
+   (``DataPolicy.FULL`` and the timing-only ``DataPolicy.ELIDE``), once
+   more on the seed-behaviour tick-every-cycle engine
+   (``event_driven=False``) and, on single-engine points, in both policies
+   on the seed scalar datapath (``REPRO_SIM_DATAPATH=scalar``); cycle
+   counts, statistics and engine measurements must be byte-identical
+   across all of them.  The run emits ``BENCH_headline.json``: per grid
+   point the cycle count and identity flags, plus per-axis wall-time
+   totals.  CI uploads it and gates on per-policy cycles/sec regressions
+   *and per-point cycle identity in both directions* against
+   ``benchmarks/baseline.json`` (see ``check_bench_regression.py``).
+   Timing claims come from perfbench, not from this file.
 
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_headline.py --output BENCH_headline.json
 
-Measured on the seed commit (tick-every-cycle engine, before PR 2) the same
-grid took 3.6x longer wall-clock than the event-driven engine emits here;
-the in-tree ``--compare-naive`` A/B understates that because the
-compatibility mode shares this tree's cheaper component models.
-
-On ELIDE wall-clock: profiling this tree shows payload movement is ~12% of
-grid wall time after PR 2's hot-path work (per-cycle control flow and
-per-word request routing dominate, and those are timing-relevant in both
-policies), so whole-grid elision lands around 1.15-1.25x with the largest
-wins on the IDEAL-system points (~1.4-2x, whose FULL mode pays per-element
-Python scatter/gathers).  The ``--elide-speedup-floor`` gate (default
-``$REPRO_ELIDE_SPEEDUP_FLOOR`` or 1.05) asserts the elision never loses
-money; the ISSUE's original ≥2x whole-grid target is not reachable without
-rewriting the shared per-cycle machinery and is documented as such in
-``docs/simulation.md``.
+On ELIDE wall-clock: payload movement is a small share of grid wall time
+(per-cycle control flow and per-word request routing dominate, and those
+are timing-relevant in both policies), so whole-grid elision lands around
+1.15-1.25x.  The run asserts at least ``ELIDE_SPEEDUP_FLOOR`` (1.05): the
+elision must never lose money.  See ``docs/simulation.md``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -146,8 +131,37 @@ def calibration_score(duration: float = 0.25) -> float:
 #: irregular index streams (the row-wise kernels only issue short ones).
 EXTRA_GRID_WORKLOADS = ("csrspmv",)
 
+#: Multi-engine grid points: (workload, engines) x systems, SRAM class.
+#: One packed-strided kernel that is bus-bound under PACK plus two indirect
+#: kernels with contention headroom (see repro.analysis.contention).
+MULTI_ENGINE_GRID = (("gemv", 2), ("spmv", 2), ("csrspmv", 2))
+
+#: Systems the multi-engine points cover (IDEAL's exclusive memory is
+#: contention-free by definition).
+MULTI_ENGINE_KINDS = ("base", "pack")
+
+#: Floor for the whole-grid ELIDE-vs-FULL wall-clock speedup gate.
+ELIDE_SPEEDUP_FLOOR = 1.05
+
+#: The reruns each grid point is A/B'd against its FULL event-driven
+#: batch-datapath run: name -> (grid-record flag, ``_run_point`` kwargs).
+#: The scalar-datapath reruns cover the ``engines == 1`` points only; the
+#: scalar-parity CI job covers the multi-engine ones suite-wide.
+RERUNS = {
+    "elide": ("identical_to_full", {"data_policy": "elide"}),
+    "naive": ("identical_to_naive", {"event_driven": False}),
+    "scalar": ("identical_to_scalar", {"datapath": "scalar"}),
+    "scalar_elide": ("identical_to_scalar",
+                     {"data_policy": "elide", "datapath": "scalar"}),
+}
+
 
 def _grid_points(scale: str):
+    """Yield ``(workload, spec_kwargs, kind, memory, latency, engines)``.
+
+    The single-engine workload x system x memory-class grid comes first,
+    then the ``MULTI_ENGINE_GRID`` contention points.
+    """
     from repro.system.config import SystemKind
     from repro.workloads.registry import WORKLOAD_ORDER
 
@@ -155,19 +169,20 @@ def _grid_points(scale: str):
         spec_kwargs = workload_spec_kwargs(workload, scale)
         for kind in (SystemKind.BASE, SystemKind.PACK, SystemKind.IDEAL):
             for mem_name, latency in LATENCY_GRID:
-                yield workload, spec_kwargs, kind, mem_name, latency
+                yield workload, spec_kwargs, kind, mem_name, latency, 1
+    for workload, engines in MULTI_ENGINE_GRID:
+        spec_kwargs = workload_spec_kwargs(workload, scale)
+        for system in MULTI_ENGINE_KINDS:
+            yield (workload, spec_kwargs, SystemKind(system), "sram",
+                   MEMORY_LATENCY["sram"], engines)
 
 
-#: Default floor for the whole-grid ELIDE-vs-FULL wall-clock speedup gate.
-DEFAULT_ELIDE_SPEEDUP_FLOOR = float(
-    os.environ.get("REPRO_ELIDE_SPEEDUP_FLOOR", "1.05")
-)
+def _run_point(workload, spec_kwargs, kind, latency, engines,
+               event_driven=True, verify=False, data_policy="full",
+               datapath=None):
+    """One grid point: build, simulate, return ``(outcome, wall, verified)``.
 
-
-def _run_point(workload, spec_kwargs, kind, latency, event_driven, verify,
-               data_policy="full", datapath=None, engines=1):
-    """One grid point: build, simulate, return (cycles, stats, result, wall).
-
+    ``outcome`` is the ``(cycles, stats, result)`` triple every A/B compares.
     ``engines > 1`` runs the point on the multi-engine topology (the
     workload's rows sharded behind the cycle-level mux); ``result`` is then
     the list of per-engine measurements.
@@ -176,14 +191,11 @@ def _run_point(workload, spec_kwargs, kind, latency, event_driven, verify,
 
     from repro.axi.transaction import reset_txn_ids
     from repro.orchestrate.spec import WorkloadSpec
-    from repro.sim.datapath import DATAPATH_ENV
+    from repro.sim.datapath import datapath_override
     from repro.system.soc import build_system
 
     reset_txn_ids()
-    saved_datapath = os.environ.get(DATAPATH_ENV)
-    if datapath is not None:
-        os.environ[DATAPATH_ENV] = datapath
-    try:
+    with datapath_override(datapath):
         instance = WorkloadSpec.create(workload, **spec_kwargs).build()
         config = point_system_config(kind, latency, data_policy)
         if engines != 1:
@@ -204,13 +216,7 @@ def _run_point(workload, spec_kwargs, kind, latency, event_driven, verify,
                                               event_driven=event_driven)
         wall = time.perf_counter() - start
         verified = instance.verify(soc.storage) if verify else None
-        return cycles, dict(soc.stats.as_dict()), result, wall, verified
-    finally:
-        if datapath is not None:
-            if saved_datapath is None:
-                os.environ.pop(DATAPATH_ENV, None)
-            else:
-                os.environ[DATAPATH_ENV] = saved_datapath
+    return (cycles, dict(soc.stats.as_dict()), result), wall, verified
 
 
 def supervised_sweep_counters(jobs: int = 2) -> dict:
@@ -221,7 +227,7 @@ def supervised_sweep_counters(jobs: int = 2) -> dict:
     times out, loses a worker or degrades to serial.  This runs a tiny
     pooled sweep under a generous per-spec timeout and asserts every
     supervision counter is zero — the counters land in the bench payload
-    and the cross-PR history so the regression gate pins the promise.
+    so the regression gate pins the promise.
     """
     from repro.orchestrate.cache import MemoryCache
     from repro.orchestrate.faults import FaultPlan
@@ -251,204 +257,90 @@ def supervised_sweep_counters(jobs: int = 2) -> dict:
     return counters
 
 
-#: Multi-engine grid points: (workload, engines) x systems, SRAM class.
-#: One packed-strided kernel that is bus-bound under PACK plus two indirect
-#: kernels with contention headroom (see repro.analysis.contention).
-MULTI_ENGINE_GRID = (("gemv", 2), ("spmv", 2), ("csrspmv", 2))
-
-#: Systems the multi-engine points cover (IDEAL's exclusive memory is
-#: contention-free by definition).
-MULTI_ENGINE_KINDS = ("base", "pack")
-
-
 def run_engine_benchmark(
     scale: str = "small",
-    compare_naive: bool = True,
     compare_scalar: bool = True,
     verify: bool = False,
-    elide_speedup_floor: float = DEFAULT_ELIDE_SPEEDUP_FLOOR,
+    elide_speedup_floor: float = ELIDE_SPEEDUP_FLOOR,
 ) -> dict:
     """Run the headline grid; return the BENCH_headline.json payload.
 
-    Every grid point runs under both data policies on the event-driven
-    engine and asserts cycle counts, statistics and engine measurements
-    byte-identical — the core ELIDE invariant.  With ``compare_naive`` the
-    FULL point is also run on the tick-every-cycle compatibility engine,
-    and with ``compare_scalar`` under the seed scalar datapath
-    (``REPRO_SIM_DATAPATH=scalar``) in both policies — all asserted
-    identical: neither the event-driven scheduler nor the batch
+    Every grid point runs FULL on the event-driven engine, then each of
+    ``RERUNS``: ELIDE, the tick-every-cycle compatibility engine and, with
+    ``compare_scalar``, the seed scalar datapath
+    (``REPRO_SIM_DATAPATH=scalar``) in both policies.  Each rerun must
+    reproduce cycle counts, statistics and engine measurements byte for
+    byte: neither the data policy, the event-driven scheduler nor the batch
     struct-of-arrays datapath may ever change simulated behaviour, only
     wall time.  (The remaining scalar×naive corners of the full
     scalar/batch × event/naive × FULL/ELIDE cube are pinned by
-    ``tests/test_datapath_parity.py``.)  The aggregate ELIDE-vs-FULL
-    wall-clock speedup is asserted to be at least ``elide_speedup_floor``.
+    ``tests/test_datapath_parity.py``.)  Wall time is kept only as
+    per-axis totals: the aggregate ELIDE-vs-FULL wall-clock speedup is
+    asserted to be at least ``elide_speedup_floor``, and the regression
+    gate reads the per-policy cycles/sec.
     """
     grid = []
-    total_full_wall = 0.0
-    total_full_wall_single = 0.0  #: engines=1 points only (scalar A/B basis)
-    total_elide_wall = 0.0
-    total_naive_wall = 0.0
-    total_scalar_wall = 0.0
-    total_scalar_elide_wall = 0.0
+    walls = dict.fromkeys(("full", "full_single", *RERUNS), 0.0)
     total_cycles = 0
-    for workload, spec_kwargs, kind, mem_name, latency in _grid_points(scale):
-        cycles, stats, result, wall, verified = _run_point(
-            workload, spec_kwargs, kind, latency, True, verify
-        )
-        e_cycles, e_stats, e_result, e_wall, _ = _run_point(
-            workload, spec_kwargs, kind, latency, True, False, data_policy="elide"
-        )
-        identical_policies = (
-            e_cycles == cycles and e_stats == stats and e_result == result
-        )
+    for workload, spec_kwargs, kind, mem_name, latency, engines in _grid_points(scale):
+        args = (workload, spec_kwargs, kind, latency, engines)
+        reference, wall, verified = _run_point(*args, verify=verify)
+        cycles = reference[0]
+        walls["full"] += wall
+        if engines == 1:
+            walls["full_single"] += wall
+        total_cycles += cycles
         point = {
             "workload": workload,
             "system": kind.value,
             "memory": mem_name,
             "memory_latency": latency,
-            "engines": 1,
+            "engines": engines,
             "cycles": cycles,
-            "wall_s": round(wall, 6),
-            "cycles_per_sec": round(cycles / wall, 1) if wall > 0 else None,
-            "elide_wall_s": round(e_wall, 6),
-            "elide_cycles_per_sec": (
-                round(cycles / e_wall, 1) if e_wall > 0 else None
-            ),
-            "elide_speedup": round(wall / e_wall, 3) if e_wall > 0 else None,
-            "identical_to_full": identical_policies,
         }
         if verify:
             point["verified"] = bool(verified)
-        total_full_wall += wall
-        total_full_wall_single += wall
-        total_elide_wall += e_wall
-        total_cycles += cycles
-        if not identical_policies:
-            raise AssertionError(
-                f"ELIDE run diverged from FULL run for "
-                f"{workload}/{kind.value}/{mem_name}: "
-                f"cycles {cycles} vs {e_cycles}"
-            )
-        if compare_naive:
-            n_cycles, n_stats, n_result, n_wall, _ = _run_point(
-                workload, spec_kwargs, kind, latency, False, False
-            )
-            identical = n_cycles == cycles and n_stats == stats and n_result == result
-            point["naive_wall_s"] = round(n_wall, 6)
-            point["speedup_vs_naive"] = round(n_wall / wall, 3) if wall > 0 else None
-            point["identical_to_naive"] = identical
-            total_naive_wall += n_wall
-            if not identical:
+        for name, (flag, kwargs) in RERUNS.items():
+            if flag == "identical_to_scalar" and not (compare_scalar
+                                                      and engines == 1):
+                continue
+            outcome, wall, _ = _run_point(*args, **kwargs)
+            walls[name] += wall
+            point[flag] = outcome == reference
+            if not point[flag]:
                 raise AssertionError(
-                    f"event-driven run diverged from tick-every-cycle run for "
-                    f"{workload}/{kind.value}/{mem_name}: "
-                    f"cycles {cycles} vs {n_cycles}"
-                )
-        if compare_scalar:
-            s_cycles, s_stats, s_result, s_wall, _ = _run_point(
-                workload, spec_kwargs, kind, latency, True, False,
-                datapath="scalar",
-            )
-            se_cycles, se_stats, se_result, se_wall, _ = _run_point(
-                workload, spec_kwargs, kind, latency, True, False,
-                data_policy="elide", datapath="scalar",
-            )
-            identical_scalar = (
-                s_cycles == cycles and s_stats == stats and s_result == result
-                and se_cycles == cycles and se_stats == stats
-                and se_result == result
-            )
-            point["scalar_wall_s"] = round(s_wall, 6)
-            point["scalar_elide_wall_s"] = round(se_wall, 6)
-            point["datapath_speedup"] = (
-                round(s_wall / wall, 3) if wall > 0 else None
-            )
-            point["identical_to_scalar"] = identical_scalar
-            total_scalar_wall += s_wall
-            total_scalar_elide_wall += se_wall
-            if not identical_scalar:
-                raise AssertionError(
-                    f"scalar-datapath run diverged from batch run for "
-                    f"{workload}/{kind.value}/{mem_name}: "
-                    f"cycles {cycles} vs {s_cycles}/{se_cycles}"
+                    f"{name} run diverged from the FULL event-driven run for "
+                    f"{workload}/{kind.value}/{mem_name}/engines={engines}: "
+                    f"cycles {cycles} vs {outcome[0]}"
                 )
         grid.append(point)
-    # ---------------------------------------------------------- multi-engine
-    # Contention points: rows sharded across N engines behind the cycle-level
-    # mux, SRAM memory class.  The policy and engine axes are asserted
-    # identical exactly like the single-engine points; the scalar-datapath
-    # axis is covered suite-wide by the scalar-parity CI job instead.
-    from repro.system.config import SystemKind
-
-    for workload, engines in MULTI_ENGINE_GRID:
-        spec_kwargs = workload_spec_kwargs(workload, scale)
-        for system in MULTI_ENGINE_KINDS:
-            kind = SystemKind(system)
-            latency = MEMORY_LATENCY["sram"]
-            cycles, stats, result, wall, verified = _run_point(
-                workload, spec_kwargs, kind, latency, True, verify,
-                engines=engines,
-            )
-            e_cycles, e_stats, e_result, e_wall, _ = _run_point(
-                workload, spec_kwargs, kind, latency, True, False,
-                data_policy="elide", engines=engines,
-            )
-            identical_policies = (
-                e_cycles == cycles and e_stats == stats and e_result == result
-            )
-            point = {
-                "workload": workload,
-                "system": system,
-                "memory": "sram",
-                "memory_latency": latency,
-                "engines": engines,
-                "cycles": cycles,
-                "wall_s": round(wall, 6),
-                "cycles_per_sec": round(cycles / wall, 1) if wall > 0 else None,
-                "elide_wall_s": round(e_wall, 6),
-                "elide_cycles_per_sec": (
-                    round(cycles / e_wall, 1) if e_wall > 0 else None
-                ),
-                "elide_speedup": round(wall / e_wall, 3) if e_wall > 0 else None,
-                "identical_to_full": identical_policies,
-            }
-            if verify:
-                point["verified"] = bool(verified)
-            total_full_wall += wall
-            total_elide_wall += e_wall
-            total_cycles += cycles
-            if not identical_policies:
-                raise AssertionError(
-                    f"ELIDE run diverged from FULL run for "
-                    f"{workload}/{system}/sram/engines={engines}: "
-                    f"cycles {cycles} vs {e_cycles}"
-                )
-            if compare_naive:
-                n_cycles, n_stats, n_result, n_wall, _ = _run_point(
-                    workload, spec_kwargs, kind, latency, False, False,
-                    engines=engines,
-                )
-                identical = (
-                    n_cycles == cycles and n_stats == stats
-                    and n_result == result
-                )
-                point["naive_wall_s"] = round(n_wall, 6)
-                point["speedup_vs_naive"] = (
-                    round(n_wall / wall, 3) if wall > 0 else None
-                )
-                point["identical_to_naive"] = identical
-                total_naive_wall += n_wall
-                if not identical:
-                    raise AssertionError(
-                        f"event-driven run diverged from tick-every-cycle run "
-                        f"for {workload}/{system}/sram/engines={engines}: "
-                        f"cycles {cycles} vs {n_cycles}"
-                    )
-            grid.append(point)
-    elide_speedup = (
-        total_full_wall / total_elide_wall if total_elide_wall > 0 else None
-    )
-    payload = {
+    elide_speedup = walls["full"] / walls["elide"]
+    totals = {
+        "grid_points": len(grid),
+        "cycles": total_cycles,
+        "event_wall_s": round(walls["full"], 6),
+        "cycles_per_sec": round(total_cycles / walls["full"], 1),
+        "elide_wall_s": round(walls["elide"], 6),
+        "elide_cycles_per_sec": round(total_cycles / walls["elide"], 1),
+        "elide_speedup": round(elide_speedup, 3),
+        "naive_wall_s": round(walls["naive"], 6),
+        "speedup_vs_naive": round(walls["naive"] / walls["full"], 3),
+    }
+    if compare_scalar:
+        totals["scalar_wall_s"] = round(walls["scalar"], 6)
+        totals["scalar_elide_wall_s"] = round(walls["scalar_elide"], 6)
+        # The scalar A/B only covers the engines=1 points, so its speedup is
+        # measured against the single-engine FULL wall time alone.
+        totals["datapath_speedup"] = round(
+            walls["scalar"] / walls["full_single"], 3
+        )
+    if elide_speedup < elide_speedup_floor:
+        raise AssertionError(
+            f"ELIDE wall-clock speedup {elide_speedup:.3f}x fell below the "
+            f"{elide_speedup_floor:.2f}x floor (FULL {walls['full']:.3f}s, "
+            f"ELIDE {walls['elide']:.3f}s)"
+        )
+    return {
         "meta": {
             "benchmark": "headline",
             "scale": scale,
@@ -457,39 +349,9 @@ def run_engine_benchmark(
         },
         "calibration_score": round(calibration_score(), 1),
         "grid": grid,
-        "totals": {
-            "grid_points": len(grid),
-            "cycles": total_cycles,
-            "event_wall_s": round(total_full_wall, 6),
-            "cycles_per_sec": round(total_cycles / total_full_wall, 1),
-            "elide_wall_s": round(total_elide_wall, 6),
-            "elide_cycles_per_sec": round(total_cycles / total_elide_wall, 1),
-            "elide_speedup": round(elide_speedup, 3),
-        },
+        "totals": totals,
+        "supervision": supervised_sweep_counters(),
     }
-    if compare_naive:
-        payload["totals"]["naive_wall_s"] = round(total_naive_wall, 6)
-        payload["totals"]["speedup_vs_naive"] = round(
-            total_naive_wall / total_full_wall, 3
-        )
-    if compare_scalar:
-        payload["totals"]["scalar_wall_s"] = round(total_scalar_wall, 6)
-        payload["totals"]["scalar_elide_wall_s"] = round(
-            total_scalar_elide_wall, 6
-        )
-        # The scalar A/B only covers the engines=1 points, so its speedup is
-        # measured against the single-engine FULL wall time alone.
-        payload["totals"]["datapath_speedup"] = round(
-            total_scalar_wall / total_full_wall_single, 3
-        )
-    if elide_speedup is not None and elide_speedup < elide_speedup_floor:
-        raise AssertionError(
-            f"ELIDE wall-clock speedup {elide_speedup:.3f}x fell below the "
-            f"{elide_speedup_floor:.2f}x floor (FULL {total_full_wall:.3f}s, "
-            f"ELIDE {total_elide_wall:.3f}s)"
-        )
-    payload["supervision"] = supervised_sweep_counters()
-    return payload
 
 
 def test_engine_benchmark_parity_and_speedup(benchmark):
@@ -515,50 +377,14 @@ def test_engine_benchmark_parity_and_speedup(benchmark):
     print(f"datapath speedup     : {payload['totals']['datapath_speedup']:.2f}x")
     assert all(point["identical_to_naive"] for point in payload["grid"])
     assert all(point["identical_to_full"] for point in payload["grid"])
-    # Multi-engine points skip the scalar A/B (scalar-parity CI covers it):
-    # absent keys default to passing.
-    assert all(point.get("identical_to_scalar", True)
-               for point in payload["grid"])
-    multi = [point for point in payload["grid"] if point.get("engines", 1) > 1]
+    assert all(point["identical_to_scalar"] for point in payload["grid"]
+               if point["engines"] == 1)
+    multi = [point for point in payload["grid"] if point["engines"] > 1]
     assert len(multi) == len(MULTI_ENGINE_GRID) * len(MULTI_ENGINE_KINDS)
+    assert all("identical_to_scalar" not in point for point in multi)
     assert payload["totals"]["speedup_vs_naive"] > 1.2
     # Supervision must not perturb the happy path (see docs/orchestration.md).
     assert not any(payload["supervision"].values())
-
-
-def append_history(payload: dict, history_path: str) -> dict:
-    """Append one JSONL trajectory entry for this run to ``history_path``.
-
-    The trajectory file makes the perf trend across PRs queryable (one line
-    per bench run: commit, date, calibration score, per-policy totals)
-    instead of a single overwritten snapshot.
-    """
-    import datetime
-    import subprocess
-
-    try:
-        commit = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        ).stdout.strip() or "unknown"
-    except (OSError, subprocess.SubprocessError):
-        commit = "unknown"
-    entry = {
-        "date": datetime.datetime.now(datetime.timezone.utc).strftime(
-            "%Y-%m-%dT%H:%M:%SZ"
-        ),
-        "commit": commit,
-        "scale": payload["meta"]["scale"],
-        "python": payload["meta"]["python"],
-        "calibration_score": payload["calibration_score"],
-        "totals": payload["totals"],
-    }
-    if "supervision" in payload:
-        entry["supervision"] = payload["supervision"]
-    with open(history_path, "a") as handle:
-        handle.write(json.dumps(entry, sort_keys=True) + "\n")
-    return entry
 
 
 def main(argv=None) -> int:
@@ -569,28 +395,14 @@ def main(argv=None) -> int:
                         help="where to write the JSON payload")
     parser.add_argument("--scale", default="small",
                         help="problem scale (tiny/small/medium/paper)")
-    parser.add_argument("--no-compare-naive", action="store_true",
-                        help="skip the tick-every-cycle A/B runs")
     parser.add_argument("--no-compare-scalar", action="store_true",
                         help="skip the scalar-datapath A/B runs")
     parser.add_argument("--verify", action="store_true",
                         help="also verify workload results against references")
-    parser.add_argument("--history", metavar="PATH", default=None,
-                        help="append this run's totals as one JSONL line to "
-                             "PATH (the cross-PR trajectory; CI passes "
-                             "BENCH_history.jsonl — ad-hoc local runs should "
-                             "leave it off so laptop noise stays out of the "
-                             "committed trend)")
-    parser.add_argument("--elide-speedup-floor", type=float,
-                        default=DEFAULT_ELIDE_SPEEDUP_FLOOR,
-                        help="minimum aggregate ELIDE-vs-FULL wall-clock "
-                             "speedup (default: $REPRO_ELIDE_SPEEDUP_FLOOR "
-                             "or 1.05)")
     args = parser.parse_args(argv)
     payload = run_engine_benchmark(
-        scale=args.scale, compare_naive=not args.no_compare_naive,
-        compare_scalar=not args.no_compare_scalar,
-        verify=args.verify, elide_speedup_floor=args.elide_speedup_floor,
+        scale=args.scale, compare_scalar=not args.no_compare_scalar,
+        verify=args.verify,
     )
     with open(args.output, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -603,17 +415,13 @@ def main(argv=None) -> int:
           f"({totals['elide_cycles_per_sec']:.0f} cycles/sec)")
     print(f"ELIDE speedup over FULL: {totals['elide_speedup']:.2f}x "
           "(byte-identical cycles and stats)")
-    if "speedup_vs_naive" in totals:
-        print(f"speedup vs tick-every-cycle mode: {totals['speedup_vs_naive']:.2f}x "
-              "(byte-identical results)")
+    print(f"speedup vs tick-every-cycle mode: {totals['speedup_vs_naive']:.2f}x "
+          "(byte-identical results)")
     if "datapath_speedup" in totals:
         print(f"speedup vs scalar datapath: {totals['datapath_speedup']:.2f}x "
               "(byte-identical results)")
     print("supervised fault-free sweep: all counters zero "
           f"({payload['supervision']})")
-    if args.history:
-        entry = append_history(payload, args.history)
-        print(f"appended {entry['commit']} @ {entry['date']} to {args.history}")
     return 0
 
 

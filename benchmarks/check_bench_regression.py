@@ -7,13 +7,12 @@ files carry a *calibration score* (a fixed pure-Python loop, see
 current machine is the baseline throughput scaled by the ratio of
 calibration scores.  Both data policies are gated: the FULL-mode
 (``cycles_per_sec``) and ELIDE-mode (``elide_cycles_per_sec``) aggregate
-throughputs must each stay within ``--threshold-pct`` (default 20, override
-with ``$REPRO_BENCH_GATE_PCT``) of their calibrated expectations.  The gate
-also fails when any grid point diverged from the tick-every-cycle engine,
-between the two data policies, or between the ``num_engines=1`` topology and
-the single-program path — and when any grid point's *cycle count* differs
-from the baseline's (simulated behaviour is deterministic; a cycle change
-must be deliberate and come with a regenerated baseline).
+throughputs must each stay within ``THRESHOLD_PCT`` (20) percent of their
+calibrated expectations.  The gate also fails when any grid point diverged
+from the tick-every-cycle engine, between the two data policies, or between
+the batch and scalar datapaths — and when any grid point's *cycle count*
+differs from the baseline's (simulated behaviour is deterministic; a cycle
+change must be deliberate and come with a regenerated baseline).
 
 Usage::
 
@@ -24,8 +23,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+
+#: Maximum allowed calibrated cycles/sec regression, in percent.
+THRESHOLD_PCT = 20.0
+
+#: Per-point identity flags and the failure each ``False`` reports.
+IDENTITY_FLAGS = (
+    ("identical_to_naive", "results diverged from the seed-behaviour engine"),
+    ("identical_to_full", "ELIDE results diverged from FULL results"),
+    ("identical_to_scalar",
+     "batch-datapath results diverged from the scalar datapath"),
+)
 
 
 def load(path: str) -> dict:
@@ -33,8 +42,16 @@ def load(path: str) -> dict:
         return json.load(handle)
 
 
-def gate_throughput(label, current, baseline, key, machine_ratio, threshold_pct,
-                    failures):
+def point_key(p):
+    return (p["workload"], p["system"], p["memory"], p.get("engines", 1))
+
+
+def point_label(key) -> str:
+    """``workload/system/memory/engines=N``: names every grid point uniquely."""
+    return "{}/{}/{}/engines={}".format(*key)
+
+
+def gate_throughput(label, current, baseline, key, machine_ratio, failures):
     """Gate one policy's aggregate cycles/sec against the scaled baseline."""
     cur_cps = current["totals"].get(key)
     base_cps = baseline["totals"].get(key)
@@ -48,11 +65,11 @@ def gate_throughput(label, current, baseline, key, machine_ratio, threshold_pct,
     change_pct = 100.0 * (cur_cps - expected_cps) / expected_cps
     print(f"{label:<6s}: baseline {base_cps:12.0f} cycles/sec, "
           f"current {cur_cps:12.0f}, expected here {expected_cps:12.0f} "
-          f"({change_pct:+.1f}%, gate: -{threshold_pct:.0f}%)")
-    if cur_cps < expected_cps * (1.0 - threshold_pct / 100.0):
+          f"({change_pct:+.1f}%, gate: -{THRESHOLD_PCT:.0f}%)")
+    if cur_cps < expected_cps * (1.0 - THRESHOLD_PCT / 100.0):
         failures.append(
             f"{label} cycles/sec regressed {-change_pct:.1f}% vs calibrated "
-            f"baseline (allowed: {threshold_pct:.0f}%)"
+            f"baseline (allowed: {THRESHOLD_PCT:.0f}%)"
         )
 
 
@@ -60,12 +77,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("current", help="freshly emitted BENCH_headline.json")
     parser.add_argument("baseline", help="checked-in baseline.json")
-    parser.add_argument(
-        "--threshold-pct",
-        type=float,
-        default=float(os.environ.get("REPRO_BENCH_GATE_PCT", "20")),
-        help="maximum allowed regression in percent (default 20)",
-    )
     args = parser.parse_args(argv)
 
     current = load(args.current)
@@ -74,42 +85,19 @@ def main(argv=None) -> int:
     failures = []
 
     # Correctness gates: the event-driven engine must match the seed
-    # behaviour, and the ELIDE policy must match FULL bit for bit.
-    diverged = [
-        f"{p['workload']}/{p['system']}/{p['memory']}"
-        for p in current.get("grid", [])
-        if p.get("identical_to_naive") is False
-    ]
-    if diverged:
-        failures.append(f"results diverged from the seed-behaviour engine: {diverged}")
-    policy_diverged = [
-        f"{p['workload']}/{p['system']}/{p['memory']}"
-        for p in current.get("grid", [])
-        if p.get("identical_to_full") is False
-    ]
-    if policy_diverged:
-        failures.append(
-            f"ELIDE results diverged from FULL results: {policy_diverged}"
-        )
-    datapath_diverged = [
-        f"{p['workload']}/{p['system']}/{p['memory']}"
-        for p in current.get("grid", [])
-        if p.get("identical_to_scalar") is False
-    ]
-    if datapath_diverged:
-        failures.append(
-            f"batch-datapath results diverged from the scalar datapath: "
-            f"{datapath_diverged}"
-        )
+    # behaviour, the ELIDE policy must match FULL and the batch datapath
+    # the scalar one, bit for bit.
+    for flag, what in IDENTITY_FLAGS:
+        diverged = [point_label(point_key(p)) for p in current.get("grid", [])
+                    if p.get(flag) is False]
+        if diverged:
+            failures.append(f"{what}: {diverged}")
     # Cycle-identity gate: simulated cycle counts are deterministic, so any
     # change on a grid point present in the baseline means the simulated
     # behaviour changed — which must be deliberate (regenerate the baseline)
     # rather than an accidental side effect of a perf or topology change.
     # The gate is bidirectional: a baseline point missing from the current
     # grid means coverage was (probably accidentally) lost, and fails too.
-    def point_key(p):
-        return (p["workload"], p["system"], p["memory"], p.get("engines", 1))
-
     baseline_cycles = {point_key(p): p["cycles"]
                       for p in baseline.get("grid", [])}
     changed = []
@@ -120,13 +108,13 @@ def main(argv=None) -> int:
             continue  # a new grid point; it enters the gate on regeneration
         matched += 1
         if p["cycles"] != expect:
-            changed.append(f"{'/'.join(map(str, point_key(p)))}: "
+            changed.append(f"{point_label(point_key(p))}: "
                            f"{expect} -> {p['cycles']}")
     print(f"cycle identity: {matched} grid points matched against baseline")
     if changed:
         failures.append(f"simulated cycle counts changed vs baseline: {changed}")
     if baseline_cycles:  # keys never popped: points that vanished
-        missing = sorted("/".join(map(str, key)) for key in baseline_cycles)
+        missing = sorted(point_label(key) for key in baseline_cycles)
         failures.append(
             f"baseline grid points missing from the current run: {missing}"
         )
@@ -137,9 +125,9 @@ def main(argv=None) -> int:
     print(f"machine speed ratio: {machine_ratio:.3f}x "
           f"(calibration {cur_cal:.0f} vs baseline {base_cal:.0f})")
     gate_throughput("FULL", current, baseline, "cycles_per_sec",
-                    machine_ratio, args.threshold_pct, failures)
+                    machine_ratio, failures)
     gate_throughput("ELIDE", current, baseline, "elide_cycles_per_sec",
-                    machine_ratio, args.threshold_pct, failures)
+                    machine_ratio, failures)
 
     # Supervision gate: the bench run's fault-free supervised sweep must
     # record zero retries/timeouts/rebuilds (supervision never perturbs the
